@@ -6,7 +6,7 @@
 //
 // Flags:
 //   --smoke           tiny sizes / few reps (CTest wiring; seconds, not minutes)
-//   --threads N       pool size for the parallel measurements (default 4)
+//   --threads N       pool size for the pooled ensemble row (default 4)
 //   --members N       ensemble size for the pooled train_round row (default 4)
 //   --json PATH       output path (default BENCH_train.json)
 #include <algorithm>
@@ -59,7 +59,7 @@ int main(int argc, char** argv) {
 
   std::vector<bench::BenchMetric> metrics;
 
-  // --- 1) GEMM kernels: naive vs blocked vs pooled, square n x n ---
+  // --- 1) GEMM kernels: naive vs blocked, square n x n ---
   {
     const std::size_t n = smoke ? 48 : 256;
     const int reps = smoke ? 2 : 20;
@@ -81,20 +81,9 @@ int main(int argc, char** argv) {
     }
     const double blocked_gf = gflops(n, reps, seconds_since(t0));
 
-    ThreadPool pool(threads);
-    linalg::matmul_parallel(a, b, c, pool, /*min_flops=*/0.0);
-    t0 = Clock::now();
-    for (int r = 0; r < reps; ++r) {
-      linalg::matmul_parallel(a, b, c, pool, /*min_flops=*/0.0);
-      checksum_sink += c(0, 0);
-    }
-    const double parallel_gf = gflops(n, reps, seconds_since(t0));
-
-    std::printf("gemm %zux%zu: naive %.2f, blocked %.2f, parallel(%zu) %.2f GFLOP/s\n", n, n,
-                naive_gf, blocked_gf, threads, parallel_gf);
+    std::printf("gemm %zux%zu: naive %.2f, blocked %.2f GFLOP/s\n", n, n, naive_gf, blocked_gf);
     metrics.push_back({"kernel_naive_gflops", naive_gf, "GFLOP/s"});
     metrics.push_back({"kernel_blocked_gflops", blocked_gf, "GFLOP/s"});
-    metrics.push_back({"kernel_parallel_gflops", parallel_gf, "GFLOP/s"});
   }
 
   // --- 2) critic train_round, paper net (2 x 100 hidden, batch 32) ---

@@ -68,7 +68,7 @@ void BM_ActorTrainRound(benchmark::State& state) {
   const linalg::Vec lb(16, -1.0), ub(16, 1.0);
   for (auto _ : state)
     benchmark::DoNotOptimize(
-        actor.train_round(critic, w.fom, w.records, w.scaler, lb, ub, trng));
+        actor.train_round(critic, w.fom, batcher.unit_designs(), lb, ub, trng));
 }
 BENCHMARK(BM_ActorTrainRound);
 

@@ -1,10 +1,10 @@
-// Microbenchmarks: dense linear algebra used by the MNA solver (LU) and the
+// Microbenchmarks: dense linear algebra used by the MNA solver (LU), the
 // GP baseline (Cholesky) — the O(N^3) growth here is the paper's stated
-// reason BO scales poorly with simulation count.
+// reason BO scales poorly with simulation count — and the MLP training
+// kernels (gemm_nn/tn/nt).
 #include <benchmark/benchmark.h>
 
 #include "common/rng.hpp"
-#include "common/thread_pool.hpp"
 #include "linalg/cholesky.hpp"
 #include "linalg/gemm.hpp"
 #include "linalg/lu.hpp"
@@ -85,18 +85,73 @@ void BM_MatmulBlocked(benchmark::State& state) {
 }
 BENCHMARK(BM_MatmulBlocked)->Arg(64)->Arg(128)->Arg(256);
 
-void BM_MatmulParallel(benchmark::State& state) {
-  const auto n = static_cast<std::size_t>(state.range(0));
-  const Mat a = random_dd_matrix(n, 4);
-  const Mat b = random_dd_matrix(n, 5);
-  ThreadPool pool(static_cast<std::size_t>(state.range(1)));
-  Mat c;
-  for (auto _ : state) {
-    matmul_parallel(a, b, c, pool, /*min_flops=*/0.0);
-    benchmark::DoNotOptimize(c.data().data());
+// The three training kernels at the paper nets' Linear-layer shapes. Args
+// are (batch, in, out) of the layer; each kernel runs the pass it computes
+// there: gemm_nn the forward Y += X W, gemm_tn the weight gradient
+// dW += X^T dY, gemm_nt the input gradient dX += dY W^T. All three do
+// 2 * batch * in * out flops, so their GFLOP/s rows compare directly.
+struct LayerShape {
+  std::size_t batch, in, out;
+  explicit LayerShape(const benchmark::State& state)
+      : batch(static_cast<std::size_t>(state.range(0))),
+        in(static_cast<std::size_t>(state.range(1))),
+        out(static_cast<std::size_t>(state.range(2))) {}
+  void count_flops(benchmark::State& state) const {
+    state.counters["GFLOP/s"] = benchmark::Counter(
+        2.0 * static_cast<double>(batch * in * out) * 1e-9,
+        benchmark::Counter::kIsIterationInvariantRate);
   }
+};
+
+Vec random_vec(std::size_t n, std::uint64_t seed) {
+  Rng rng(seed);
+  Vec v(n);
+  for (auto& x : v) x = rng.uniform(-1, 1);
+  return v;
 }
-BENCHMARK(BM_MatmulParallel)->Args({256, 2})->Args({256, 4});
+
+void BM_GemmNn(benchmark::State& state) {
+  const LayerShape s(state);
+  const Vec x = random_vec(s.batch * s.in, 6), w = random_vec(s.in * s.out, 7);
+  Vec y(s.batch * s.out, 0.0);
+  for (auto _ : state) {
+    gemm_nn(s.batch, s.out, s.in, x.data(), w.data(), y.data());
+    benchmark::DoNotOptimize(y.data());
+    benchmark::ClobberMemory();
+  }
+  s.count_flops(state);
+}
+
+void BM_GemmTn(benchmark::State& state) {
+  const LayerShape s(state);
+  const Vec x = random_vec(s.batch * s.in, 6), dy = random_vec(s.batch * s.out, 8);
+  Vec dw(s.in * s.out, 0.0);
+  for (auto _ : state) {
+    gemm_tn(s.in, s.out, s.batch, x.data(), dy.data(), dw.data());
+    benchmark::DoNotOptimize(dw.data());
+    benchmark::ClobberMemory();
+  }
+  s.count_flops(state);
+}
+
+void BM_GemmNt(benchmark::State& state) {
+  const LayerShape s(state);
+  const Vec dy = random_vec(s.batch * s.out, 8), w = random_vec(s.in * s.out, 7);
+  Vec dx(s.batch * s.in, 0.0), wt(s.in * s.out);
+  for (auto _ : state) {
+    gemm_nt(s.batch, s.in, s.out, dy.data(), w.data(), dx.data(), wt.data());
+    benchmark::DoNotOptimize(dx.data());
+    benchmark::ClobberMemory();
+  }
+  s.count_flops(state);
+}
+
+void mlp_shapes(benchmark::internal::Benchmark* b) {
+  b->Args({64, 100, 100})->Args({64, 32, 100})->Args({64, 100, 9});
+}
+BENCHMARK(BM_GemmNn)->Apply(mlp_shapes);
+BENCHMARK(BM_GemmTn)->Apply(mlp_shapes);
+BENCHMARK(BM_GemmNt)->Apply(mlp_shapes);
 
 }  // namespace
 

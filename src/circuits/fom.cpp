@@ -4,6 +4,7 @@
 #include <cmath>
 #include <stdexcept>
 
+#include "common/check.hpp"
 #include "common/statistics.hpp"
 
 namespace maopt::ckt {
@@ -42,8 +43,16 @@ double FomEvaluator::operator()(std::span<const double> metrics) const {
 }
 
 Vec FomEvaluator::gradient(std::span<const double> metrics) const {
+  Vec grad(metrics.size());
+  gradient_into(metrics, grad);
+  return grad;
+}
+
+void FomEvaluator::gradient_into(std::span<const double> metrics, std::span<double> grad) const {
   const auto& spec = problem_->spec();
-  Vec grad(metrics.size(), 0.0);
+  MAOPT_CHECK(metrics.size() == problem_->num_metrics(), "FomEvaluator: metric count mismatch");
+  MAOPT_CHECK(grad.size() == metrics.size(), "FomEvaluator::gradient_into: grad size mismatch");
+  std::fill(grad.begin(), grad.end(), 0.0);
   grad[0] = spec.target_weight / f0_ref_;
   for (std::size_t i = 0; i < spec.constraints.size(); ++i) {
     const auto& c = spec.constraints[i];
@@ -60,7 +69,6 @@ Vec FomEvaluator::gradient(std::span<const double> metrics) const {
       grad[i + 1] = (metrics[i + 1] > c.bound ? 1.0 : -1.0) * c.weight / denom;
     }
   }
-  return grad;
 }
 
 }  // namespace maopt::ckt

@@ -47,6 +47,9 @@ class FomEvaluator {
   /// boundaries); used to backpropagate through the critic during actor
   /// training.
   Vec gradient(std::span<const double> metrics) const;
+  /// Allocation-free gradient(): writes every entry of `grad`, which must
+  /// have one entry per metric.
+  void gradient_into(std::span<const double> metrics, std::span<double> grad) const;
 
   double f0_reference() const { return f0_ref_; }
   FomSemantics semantics() const { return semantics_; }

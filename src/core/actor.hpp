@@ -25,10 +25,12 @@ class Actor {
   Actor(std::size_t dim, const ActorConfig& config, Rng& rng);
 
   /// One training round against `critic` (each thread passes its own copy).
-  /// States are drawn from `records`; `elite_lb/ub` are the elite bounding
-  /// box mapped to unit space. Returns the mean loss over the round.
-  double train_round(Surrogate& critic, const FomEvaluator& fom,
-                     const std::vector<SimRecord>& records, const nn::RangeScaler& scaler,
+  /// States are rows of `population_unit` (population x dim, unit space —
+  /// the iteration's PseudoSampleBatcher::unit_designs()); `elite_lb/ub`
+  /// are the elite bounding box mapped to unit space, dim() entries each.
+  /// Returns the mean loss over the round. Allocation-free once the
+  /// per-actor workspaces have seen the batch shape.
+  double train_round(Surrogate& critic, const FomEvaluator& fom, const nn::Mat& population_unit,
                      const Vec& elite_lb_unit, const Vec& elite_ub_unit, Rng& rng);
 
   /// Action mu(x) for a single unit-space state.
@@ -45,10 +47,18 @@ class Actor {
   nn::Mlp& network() { return mlp_; }
 
  private:
+  /// Runs the actor on states_ and the critic on [states_, actions] into
+  /// raw_; returns the actions (valid until the actor's next forward or
+  /// backward call).
+  const nn::Mat& act_and_predict(Surrogate& critic);
+
   std::size_t dim_;
   ActorConfig config_;
   nn::Mlp mlp_;
   nn::Adam adam_;
+  // Per-actor workspaces reused across steps and rounds.
+  nn::Mat states_, critic_in_, raw_, d_raw_, d_action_;
+  Vec viol_, sign_;  ///< per-row boundary violation and its direction (dim)
 };
 
 }  // namespace maopt::core

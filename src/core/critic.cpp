@@ -1,6 +1,7 @@
 #include "core/critic.hpp"
 
 #include "common/check.hpp"
+#include "common/thread_annotations.hpp"
 
 namespace maopt::core {
 
@@ -37,7 +38,7 @@ void Critic::fit_normalizer(const std::vector<SimRecord>& records) {
   norm_.fit(metrics);
 }
 
-double Critic::train_round(const PseudoSampleBatcher& batcher, Rng& rng) {
+MAOPT_HOT double Critic::train_round(const PseudoSampleBatcher& batcher, Rng& rng) {
   MAOPT_CHECK(norm_.fitted(), "Critic::train_round: fit_normalizer must run first");
   MAOPT_CHECK(config_.batch_size > 0, "Critic::train_round: batch_size must be >= 1");
   double total = 0.0;
@@ -52,10 +53,10 @@ double Critic::train_round(const PseudoSampleBatcher& batcher, Rng& rng) {
   return total / std::max(1, config_.steps_per_round);
 }
 
-nn::Mat Critic::predict(const nn::Mat& x_dx) {
+MAOPT_HOT void Critic::predict_into(const nn::Mat& x_dx, nn::Mat& raw) {
   MAOPT_CHECK(x_dx.cols() == 2 * dim_, "Critic::predict: input must be (batch x 2*dim)");
   MAOPT_CHECK(norm_.fitted(), "Critic::predict: fit_normalizer must run first");
-  return norm_.inverse(mlp_.forward(x_dx));
+  norm_.inverse_into(mlp_.forward(x_dx), raw);
 }
 
 Vec Critic::predict_one(const Vec& x_unit, const Vec& dx_unit) {
@@ -68,19 +69,19 @@ Vec Critic::predict_one(const Vec& x_unit, const Vec& dx_unit) {
   return Vec(out.row(0).begin(), out.row(0).end());
 }
 
-nn::Mat Critic::action_gradient(const nn::Mat& d_loss_d_raw_metrics) {
+MAOPT_HOT void Critic::action_gradient_into(const nn::Mat& d_loss_d_raw_metrics,
+                                           nn::Mat& d_action) {
   MAOPT_CHECK(d_loss_d_raw_metrics.cols() == num_metrics_,
               "Critic::action_gradient: gradient width != num_metrics");
   // Chain through the inverse z-score: raw = z * std + mean  =>  dz = draw * std.
-  nn::Mat dz = d_loss_d_raw_metrics;
   const Vec& std = norm_.std();
-  for (std::size_t r = 0; r < dz.rows(); ++r)
-    for (std::size_t c = 0; c < dz.cols(); ++c) dz(r, c) *= std[c];
-  const nn::Mat dx_full = mlp_.input_gradient(dz);
-  nn::Mat da(dx_full.rows(), dim_);
+  dz_.ensure_shape(d_loss_d_raw_metrics.rows(), num_metrics_);
+  for (std::size_t r = 0; r < dz_.rows(); ++r)
+    for (std::size_t c = 0; c < num_metrics_; ++c) dz_(r, c) = d_loss_d_raw_metrics(r, c) * std[c];
+  const nn::Mat& dx_full = mlp_.input_gradient(dz_);
+  d_action.ensure_shape(dx_full.rows(), dim_);
   for (std::size_t r = 0; r < dx_full.rows(); ++r)
-    for (std::size_t c = 0; c < dim_; ++c) da(r, c) = dx_full(r, dim_ + c);
-  return da;
+    for (std::size_t c = 0; c < dim_; ++c) d_action(r, c) = dx_full(r, dim_ + c);
 }
 
 CriticEnsemble::CriticEnsemble(std::size_t num_critics, std::size_t dim,
@@ -121,29 +122,29 @@ void CriticEnsemble::fit_normalizer(const std::vector<SimRecord>& records, Threa
   }
 }
 
-nn::Mat CriticEnsemble::predict(const nn::Mat& x_dx) {
-  nn::Mat sum = members_.front().predict(x_dx);
+MAOPT_HOT void CriticEnsemble::predict_into(const nn::Mat& x_dx, nn::Mat& raw) {
+  members_.front().predict_into(x_dx, raw);
   for (std::size_t i = 1; i < members_.size(); ++i) {
-    const nn::Mat p = members_[i].predict(x_dx);
-    for (std::size_t k = 0; k < sum.data().size(); ++k) sum.data()[k] += p.data()[k];
+    members_[i].predict_into(x_dx, member_out_);
+    for (std::size_t k = 0; k < raw.data().size(); ++k) raw.data()[k] += member_out_.data()[k];
   }
   const double inv = 1.0 / static_cast<double>(members_.size());
-  for (auto& v : sum.data()) v *= inv;
-  return sum;
+  for (auto& v : raw.data()) v *= inv;
 }
 
-nn::Mat CriticEnsemble::action_gradient(const nn::Mat& d_loss_d_raw_metrics) {
+MAOPT_HOT void CriticEnsemble::action_gradient_into(const nn::Mat& d_loss_d_raw_metrics,
+                                                   nn::Mat& d_action) {
   // d(mean of members)/d(dx) = mean of member gradients. Each member's
-  // forward cache is still valid from predict() because predict() ran every
+  // forward cache is still valid from predict_into() because it ran every
   // member's forward pass last.
-  nn::Mat sum = members_.front().action_gradient(d_loss_d_raw_metrics);
+  members_.front().action_gradient_into(d_loss_d_raw_metrics, d_action);
   for (std::size_t i = 1; i < members_.size(); ++i) {
-    const nn::Mat g = members_[i].action_gradient(d_loss_d_raw_metrics);
-    for (std::size_t k = 0; k < sum.data().size(); ++k) sum.data()[k] += g.data()[k];
+    members_[i].action_gradient_into(d_loss_d_raw_metrics, member_out_);
+    for (std::size_t k = 0; k < d_action.data().size(); ++k)
+      d_action.data()[k] += member_out_.data()[k];
   }
   const double inv = 1.0 / static_cast<double>(members_.size());
-  for (auto& v : sum.data()) v *= inv;
-  return sum;
+  for (auto& v : d_action.data()) v *= inv;
 }
 
 std::size_t CriticEnsemble::num_parameters() const {

@@ -18,14 +18,28 @@ namespace maopt::core {
 class Surrogate {
  public:
   virtual ~Surrogate() = default;
-  /// Predicted raw metric vectors for a batch of (x, dx) unit-space inputs.
-  virtual nn::Mat predict(const nn::Mat& x_dx) = 0;
+  /// Predicted raw metric vectors for a batch of (x, dx) unit-space inputs,
+  /// written to `raw` (reshaped, capacity reused; must not alias `x_dx`).
+  virtual void predict_into(const nn::Mat& x_dx, nn::Mat& raw) = 0;
   /// Gradient of a scalar loss w.r.t. the dx part of the input, given the
-  /// loss gradient w.r.t. the raw predicted metrics; must follow the
-  /// matching predict() call (forward caches).
-  virtual nn::Mat action_gradient(const nn::Mat& d_loss_d_raw_metrics) = 0;
+  /// loss gradient w.r.t. the raw predicted metrics, written to `d_action`
+  /// (reshaped, capacity reused); must follow the matching predict call
+  /// (forward caches).
+  virtual void action_gradient_into(const nn::Mat& d_loss_d_raw_metrics, nn::Mat& d_action) = 0;
   virtual std::size_t dim() const = 0;
   virtual std::size_t num_metrics() const = 0;
+
+  /// Allocating forms of predict_into/action_gradient_into for cold paths.
+  nn::Mat predict(const nn::Mat& x_dx) {
+    nn::Mat raw;
+    predict_into(x_dx, raw);
+    return raw;
+  }
+  nn::Mat action_gradient(const nn::Mat& d_loss_d_raw_metrics) {
+    nn::Mat d_action;
+    action_gradient_into(d_loss_d_raw_metrics, d_action);
+    return d_action;
+  }
 };
 
 struct CriticConfig {
@@ -49,11 +63,11 @@ class Critic final : public Surrogate {
   /// (normalized units) over the round.
   double train_round(const PseudoSampleBatcher& batcher, Rng& rng);
 
-  nn::Mat predict(const nn::Mat& x_dx) override;
+  void predict_into(const nn::Mat& x_dx, nn::Mat& raw) override;
   /// Single-sample convenience.
   Vec predict_one(const Vec& x_unit, const Vec& dx_unit);
 
-  nn::Mat action_gradient(const nn::Mat& d_loss_d_raw_metrics) override;
+  void action_gradient_into(const nn::Mat& d_loss_d_raw_metrics, nn::Mat& d_action) override;
 
   void fit_normalizer(const std::vector<SimRecord>& records);
   bool normalizer_ready() const { return norm_.fitted(); }
@@ -71,6 +85,8 @@ class Critic final : public Surrogate {
   nn::ZScoreNormalizer norm_;
   // Minibatch scratch reused across all train_round calls (not copied).
   nn::Mat batch_x_, batch_y_raw_, batch_y_, batch_grad_;
+  // Normalized-space loss gradient for action_gradient_into (not copied).
+  nn::Mat dz_;
 };
 
 /// Ensemble of independently initialized critics whose predictions (and
@@ -90,8 +106,8 @@ class CriticEnsemble final : public Surrogate {
   double train_round(const PseudoSampleBatcher& batcher, Rng& rng, ThreadPool* pool = nullptr);
   void fit_normalizer(const std::vector<SimRecord>& records, ThreadPool* pool = nullptr);
 
-  nn::Mat predict(const nn::Mat& x_dx) override;
-  nn::Mat action_gradient(const nn::Mat& d_loss_d_raw_metrics) override;
+  void predict_into(const nn::Mat& x_dx, nn::Mat& raw) override;
+  void action_gradient_into(const nn::Mat& d_loss_d_raw_metrics, nn::Mat& d_action) override;
   std::size_t dim() const override { return members_.front().dim(); }
   std::size_t num_metrics() const override { return members_.front().num_metrics(); }
 
@@ -102,6 +118,8 @@ class CriticEnsemble final : public Surrogate {
 
  private:
   std::vector<Critic> members_;
+  // Members 1.. write here before being summed into the caller's output.
+  nn::Mat member_out_;
 };
 
 }  // namespace maopt::core

@@ -329,12 +329,12 @@ RunHistory MaOptimizer::run_impl(const SizingProblem& problem, std::vector<SimRe
       Stopwatch train_clock;
       const std::vector<SimRecord>& training_set =
           ok_records.empty() ? history.records : ok_records;
-      {
-        const obs::ScopedSpan train_span(spans, obs::Phase::CriticTrain);
-        const PseudoSampleBatcher batcher(training_set, scaler);
-        critic.fit_normalizer(training_set, &pool);
-        critic.train_round(batcher, critic_rng, &pool);
-      }
+      // The batcher's unit-space design matrix also feeds the actor rounds.
+      obs::ScopedSpan critic_span(spans, obs::Phase::CriticTrain);
+      const PseudoSampleBatcher batcher(training_set, scaler);
+      critic.fit_normalizer(training_set, &pool);
+      critic.train_round(batcher, critic_rng, &pool);
+      critic_span.stop();
       critic_trained = true;
       if (!replaying) history.train_seconds += train_clock.elapsed_seconds();
 
@@ -360,7 +360,7 @@ RunHistory MaOptimizer::run_impl(const SizingProblem& problem, std::vector<SimRe
         // the violation term then pins proposals to the elite's column values).
         const Vec lb_unit = scaler.to_unit(lb_raw);
         const Vec ub_unit = scaler.to_unit(ub_raw);
-        actors[i].train_round(local_critic, fom, training_set, scaler, lb_unit, ub_unit, rng);
+        actors[i].train_round(local_critic, fom, batcher.unit_designs(), lb_unit, ub_unit, rng);
         const Vec proposal_unit =
             actors[i].select_candidate_unit(local_critic, fom, elite.snapshot(), scaler);
         worker_train_s[i] = tclock.elapsed_seconds();

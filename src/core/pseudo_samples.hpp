@@ -27,6 +27,8 @@ class PseudoSampleBatcher {
   void sample(std::size_t batch, Rng& rng, nn::Mat& x, nn::Mat& y) const;
 
   std::size_t population() const { return unit_.rows(); }
+  /// The population in unit space, one design per row (population x d).
+  const nn::Mat& unit_designs() const { return unit_; }
 
  private:
   nn::Mat unit_;     ///< (n x d) unit-space designs

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "common/check.hpp"
-#include "common/thread_pool.hpp"
 #include "common/thread_annotations.hpp"
 #include "linalg/dispatch.hpp"
 
@@ -172,90 +171,6 @@ MAOPT_HOT void gemm_tn(std::size_t m, std::size_t n, std::size_t k, const double
   }
 }
 
-MAOPT_GEMM_CLONES
-MAOPT_HOT void gemm_nt(std::size_t m, std::size_t n, std::size_t k, const double* a, const double* b,
-             double* c) {
-  dcheck_gemm_args(m, n, k, a, b, c);
-  // c(i, j) = dot(A.row(i), B.row(j)): both operands contiguous. A 2x4 block
-  // of dot products per pass shares each quartet of B loads between two A
-  // rows, halving the streamed bytes per flop.
-  std::size_t i = 0;
-  for (; i + 2 <= m; i += 2) {
-    const double* arow0 = a + i * k;
-    const double* arow1 = arow0 + k;
-    double* crow0 = c + i * n;
-    double* crow1 = crow0 + n;
-    std::size_t j = 0;
-    for (; j + 4 <= n; j += 4) {
-      const double* b0 = b + j * k;
-      const double* b1 = b0 + k;
-      const double* b2 = b1 + k;
-      const double* b3 = b2 + k;
-      double s00 = 0.0, s01 = 0.0, s02 = 0.0, s03 = 0.0;
-      double s10 = 0.0, s11 = 0.0, s12 = 0.0, s13 = 0.0;
-      for (std::size_t p = 0; p < k; ++p) {
-        const double a0 = arow0[p], a1 = arow1[p];
-        const double bv0 = b0[p], bv1 = b1[p], bv2 = b2[p], bv3 = b3[p];
-        s00 += a0 * bv0;
-        s01 += a0 * bv1;
-        s02 += a0 * bv2;
-        s03 += a0 * bv3;
-        s10 += a1 * bv0;
-        s11 += a1 * bv1;
-        s12 += a1 * bv2;
-        s13 += a1 * bv3;
-      }
-      crow0[j] += s00;
-      crow0[j + 1] += s01;
-      crow0[j + 2] += s02;
-      crow0[j + 3] += s03;
-      crow1[j] += s10;
-      crow1[j + 1] += s11;
-      crow1[j + 2] += s12;
-      crow1[j + 3] += s13;
-    }
-    for (; j < n; ++j) {
-      const double* brow = b + j * k;
-      double s0 = 0.0, s1 = 0.0;
-      for (std::size_t p = 0; p < k; ++p) {
-        s0 += arow0[p] * brow[p];
-        s1 += arow1[p] * brow[p];
-      }
-      crow0[j] += s0;
-      crow1[j] += s1;
-    }
-  }
-  for (; i < m; ++i) {
-    const double* arow = a + i * k;
-    double* crow = c + i * n;
-    std::size_t j = 0;
-    for (; j + 4 <= n; j += 4) {
-      const double* b0 = b + j * k;
-      const double* b1 = b0 + k;
-      const double* b2 = b1 + k;
-      const double* b3 = b2 + k;
-      double s0 = 0.0, s1 = 0.0, s2 = 0.0, s3 = 0.0;
-      for (std::size_t p = 0; p < k; ++p) {
-        const double ap = arow[p];
-        s0 += ap * b0[p];
-        s1 += ap * b1[p];
-        s2 += ap * b2[p];
-        s3 += ap * b3[p];
-      }
-      crow[j] += s0;
-      crow[j + 1] += s1;
-      crow[j + 2] += s2;
-      crow[j + 3] += s3;
-    }
-    for (; j < n; ++j) {
-      const double* brow = b + j * k;
-      double s = 0.0;
-      for (std::size_t p = 0; p < k; ++p) s += arow[p] * brow[p];
-      crow[j] += s;
-    }
-  }
-}
-
 void matmul_blocked(const Mat& a, const Mat& b, Mat& c) {
   MAOPT_CHECK(a.cols() == b.rows(), "matmul_blocked: dimension mismatch");
   MAOPT_CHECK(&c != &a && &c != &b, "matmul_blocked: c must not alias an operand");
@@ -267,35 +182,6 @@ void matmul_blocked(const Mat& a, const Mat& b, Mat& c) {
 Mat matmul_blocked(const Mat& a, const Mat& b) {
   Mat c;
   matmul_blocked(a, b, c);
-  return c;
-}
-
-void matmul_parallel(const Mat& a, const Mat& b, Mat& c, ThreadPool& pool, double min_flops) {
-  MAOPT_CHECK(a.cols() == b.rows(), "matmul_parallel: dimension mismatch");
-  MAOPT_CHECK(&c != &a && &c != &b, "matmul_parallel: c must not alias an operand");
-  const std::size_t m = a.rows(), n = b.cols(), k = a.cols();
-  const double flops = 2.0 * static_cast<double>(m) * static_cast<double>(n) *
-                       static_cast<double>(k);
-  if (pool.size() <= 1 || m < 2 || flops < min_flops) {
-    matmul_blocked(a, b, c);
-    return;
-  }
-  c.ensure_shape(m, n);
-  c.fill(0.0);
-  const std::size_t panels = std::min(m, pool.size());
-  const std::size_t rows_per_panel = (m + panels - 1) / panels;
-  pool.parallel_for(panels, [&](std::size_t p) {
-    const std::size_t lo = p * rows_per_panel;
-    const std::size_t hi = std::min(m, lo + rows_per_panel);
-    if (lo >= hi) return;
-    // Each panel owns C rows [lo, hi) — disjoint writes, no synchronization.
-    gemm_nn(hi - lo, n, k, a.data().data() + lo * k, b.data().data(), c.data().data() + lo * n);
-  });
-}
-
-Mat matmul_parallel(const Mat& a, const Mat& b, ThreadPool& pool, double min_flops) {
-  Mat c;
-  matmul_parallel(a, b, c, pool, min_flops);
   return c;
 }
 

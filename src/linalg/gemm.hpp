@@ -8,20 +8,18 @@
 // into a caller-owned C so the surrounding code can reuse buffers instead of
 // constructing fresh matrices per call.
 //
-// Three transpose variants cover the whole backprop triangle without ever
-// materializing a transpose:
+// Three transpose variants cover the whole backprop triangle:
 //   gemm_nn: C += A B        (forward:  Y += X W)
 //   gemm_tn: C += A^T B      (weights:  dW += X^T dY)
 //   gemm_nt: C += A B^T      (inputs:   dX += dY W^T)
+// gemm_nt packs B^T into caller-owned scratch so it can vectorize across
+// output columns; its per-element rounding is a pinned contract (see
+// gemm_nt.cpp and DESIGN.md "Training kernels").
 #pragma once
 
 #include <cstddef>
 
 #include "linalg/matrix.hpp"
-
-namespace maopt {
-class ThreadPool;
-}
 
 namespace maopt::linalg {
 
@@ -33,24 +31,16 @@ void gemm_nn(std::size_t m, std::size_t n, std::size_t k, const double* a, const
 void gemm_tn(std::size_t m, std::size_t n, std::size_t k, const double* a, const double* b,
              double* c);
 
-/// C (m x n) += A * B^T where B is stored (n x k) row-major.
+/// C (m x n) += A * B^T where B is stored (n x k) row-major. `b_packed` is
+/// caller-owned scratch of k * n doubles; it receives B^T (k x n). Each
+/// element is the in-order sum s = 0; s = s + a[p]*b[p] (unfused) over the
+/// first 2*floor(k/2) terms, s = fma(a, b, s) for an odd last term, then
+/// c += s — identical on every target (gemm_nt.cpp).
 void gemm_nt(std::size_t m, std::size_t n, std::size_t k, const double* a, const double* b,
-             double* c);
+             double* c, double* b_packed);
 
 /// c = a * b via the blocked serial kernel; c is reshaped (capacity reused).
 void matmul_blocked(const Mat& a, const Mat& b, Mat& c);
 Mat matmul_blocked(const Mat& a, const Mat& b);
-
-/// Below this many FLOPs (2*m*n*k) a parallel dispatch costs more than it
-/// saves and matmul_parallel falls back to the serial blocked kernel.
-inline constexpr double kParallelMinFlops = 4e6;
-
-/// c = a * b with row panels of A split across `pool`. Falls back to the
-/// serial blocked kernel for small shapes (see `min_flops`) or a 1-worker
-/// pool. Results are identical to matmul_blocked for every thread count.
-void matmul_parallel(const Mat& a, const Mat& b, Mat& c, ThreadPool& pool,
-                     double min_flops = kParallelMinFlops);
-Mat matmul_parallel(const Mat& a, const Mat& b, ThreadPool& pool,
-                    double min_flops = kParallelMinFlops);
 
 }  // namespace maopt::linalg

@@ -58,10 +58,12 @@ const Mat& Linear::input_gradient(const Mat& dy) {
 }
 
 const Mat& Linear::input_gradient_into(const Mat& dy) {
-  // dX = dY W^T
+  // dX = dY W^T; the kernel packs W^T (out x in) into its own slot.
   Mat& dx = ws_.acquire(kBwdSlot, dy.rows(), in_);
+  Mat& wt = ws_.acquire(kPackSlot, out_, in_);
   dx.fill(0.0);
-  linalg::gemm_nt(dy.rows(), in_, out_, dy.data().data(), w_.data(), dx.data().data());
+  linalg::gemm_nt(dy.rows(), in_, out_, dy.data().data(), w_.data(), dx.data().data(),
+                  wt.data().data());
   return dx;
 }
 

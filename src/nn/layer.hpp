@@ -112,6 +112,9 @@ class Linear final : public Layer {
   const Mat& input_gradient_into(const Mat& dy);
   void check_backward_input(const Mat& dy, const char* who) const;
 
+  // W^T scratch for gemm_nt's packed operand.
+  static constexpr std::size_t kPackSlot = 2;
+
   std::size_t in_;
   std::size_t out_;
   Vec w_, b_;

@@ -87,11 +87,10 @@ void ZScoreNormalizer::transform_into(const Mat& x, Mat& z) const {
     for (std::size_t c = 0; c < x.cols(); ++c) z(r, c) = (x(r, c) - mean_[c]) / std_[c];
 }
 
-Mat ZScoreNormalizer::inverse(const Mat& z) const {
-  Mat x(z.rows(), z.cols());
+void ZScoreNormalizer::inverse_into(const Mat& z, Mat& x) const {
+  x.ensure_shape(z.rows(), z.cols());
   for (std::size_t r = 0; r < z.rows(); ++r)
     for (std::size_t c = 0; c < z.cols(); ++c) x(r, c) = z(r, c) * std_[c] + mean_[c];
-  return x;
 }
 
 Vec ZScoreNormalizer::transform(const Vec& x) const {

@@ -47,7 +47,9 @@ class ZScoreNormalizer {
   /// Allocation-free variant for hot loops: `z` is reshaped (capacity
   /// reused) and fully overwritten.
   void transform_into(const Mat& x, Mat& z) const;
-  Mat inverse(const Mat& z) const;
+  /// Row-wise inverse of transform: `x` is reshaped (capacity reused) and
+  /// fully overwritten; must not alias `z`.
+  void inverse_into(const Mat& z, Mat& x) const;
   Vec transform(const Vec& x) const;
   Vec inverse(const Vec& z) const;
   /// Maps a gradient w.r.t. normalized values back to raw units (dz -> dx).

@@ -62,6 +62,17 @@ TEST_F(FomTest, GradientZeroWhenClamped) {
   EXPECT_DOUBLE_EQ(g[1], 0.0);
 }
 
+TEST_F(FomTest, GradientIntoOverwritesEveryEntry) {
+  // The actor writes gradients straight into a reused batch row.
+  const Vec m{0.1, 0.2, 0.7};
+  Vec g(3, 7.0);
+  fom_.gradient_into(m, g);
+  EXPECT_EQ(g, fom_.gradient(m));
+  Vec short_g(2);
+  EXPECT_THROW(fom_.gradient_into(m, short_g), std::invalid_argument);
+  EXPECT_THROW(fom_.gradient_into(Vec{0.1, 0.2}, short_g), std::invalid_argument);
+}
+
 TEST_F(FomTest, GradientMatchesFiniteDifference) {
   const Vec m{0.3, 0.22, 0.65};  // both constraints mildly active
   const Vec g = fom_.gradient(m);

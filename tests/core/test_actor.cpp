@@ -5,6 +5,7 @@
 #include <cmath>
 
 #include "circuits/analytic_problems.hpp"
+#include "common/check.hpp"
 
 namespace maopt::core {
 namespace {
@@ -23,6 +24,7 @@ struct ActorFixture : ::testing::Test {
       r.fom = fom(r.metrics);
       records.push_back(std::move(r));
     }
+    population_unit = PseudoSampleBatcher(records, scaler).unit_designs();
     critic_config.hidden = {48, 48};
     critic_config.steps_per_round = 40;
     actor_config.hidden = {32, 32};
@@ -44,6 +46,7 @@ struct ActorFixture : ::testing::Test {
   nn::RangeScaler scaler;
   ckt::FomEvaluator fom;
   std::vector<SimRecord> records;
+  nn::Mat population_unit;  ///< records in unit space, as the optimizer passes them
   CriticConfig critic_config;
   ActorConfig actor_config;
 };
@@ -66,10 +69,10 @@ TEST_F(ActorFixture, TrainingReducesLoss) {
   const Vec lb(3, -1.0), ub(3, 1.0);
   Rng train_rng(5);
   const double first =
-      actor.train_round(critic, fom, records, scaler, lb, ub, train_rng);
+      actor.train_round(critic, fom, population_unit, lb, ub, train_rng);
   double last = first;
   for (int i = 0; i < 8; ++i)
-    last = actor.train_round(critic, fom, records, scaler, lb, ub, train_rng);
+    last = actor.train_round(critic, fom, population_unit, lb, ub, train_rng);
   EXPECT_LT(last, first);
 }
 
@@ -82,7 +85,7 @@ TEST_F(ActorFixture, TrainedProposalsReduceTrueFom) {
   const Vec lb(3, -1.0), ub(3, 1.0);
   Rng train_rng(8);
   for (int i = 0; i < 15; ++i)
-    actor.train_round(critic, fom, records, scaler, lb, ub, train_rng);
+    actor.train_round(critic, fom, population_unit, lb, ub, train_rng);
 
   Rng test_rng(9);
   double before = 0.0, after = 0.0;
@@ -108,7 +111,7 @@ TEST_F(ActorFixture, TightEliteBoxConfinesProposals) {
   const Vec lb(3, 0.15), ub(3, 0.25);
   Rng train_rng(12);
   for (int i = 0; i < 20; ++i)
-    actor.train_round(critic, fom, records, scaler, lb, ub, train_rng);
+    actor.train_round(critic, fom, population_unit, lb, ub, train_rng);
 
   // States inside the box should produce next-designs near the box.
   Rng test_rng(13);
@@ -151,9 +154,32 @@ TEST_F(ActorFixture, TrainOnEmptyPopulationThrows) {
   Critic critic = trained_critic(18, 2);
   Rng rng(19);
   Actor actor(3, actor_config, rng);
-  std::vector<SimRecord> empty;
+  const nn::Mat empty(0, 3);
   const Vec lb(3, -1.0), ub(3, 1.0);
-  EXPECT_THROW(actor.train_round(critic, fom, empty, scaler, lb, ub, rng), std::invalid_argument);
+  EXPECT_THROW(actor.train_round(critic, fom, empty, lb, ub, rng), std::invalid_argument);
+}
+
+TEST_F(ActorFixture, EliteBoxSizeMismatchThrows) {
+  // A box shorter than dim() used to be read out of bounds.
+  Critic critic = trained_critic(20, 2);
+  Rng rng(21);
+  Actor actor(3, actor_config, rng);
+  const Vec lb_full(3, -1.0), full(3, 1.0), short_box(2, 1.0), long_box(4, 1.0);
+  EXPECT_THROW(actor.train_round(critic, fom, population_unit, short_box, full, rng),
+               ContractViolation);
+  EXPECT_THROW(actor.train_round(critic, fom, population_unit, lb_full, short_box, rng),
+               ContractViolation);
+  EXPECT_THROW(actor.train_round(critic, fom, population_unit, long_box, full, rng),
+               ContractViolation);
+}
+
+TEST_F(ActorFixture, PopulationWidthMismatchThrows) {
+  Critic critic = trained_critic(22, 2);
+  Rng rng(23);
+  Actor actor(3, actor_config, rng);
+  const nn::Mat too_wide(5, 4, 0.0);
+  const Vec lb(3, -1.0), ub(3, 1.0);
+  EXPECT_THROW(actor.train_round(critic, fom, too_wide, lb, ub, rng), ContractViolation);
 }
 
 }  // namespace

@@ -1,0 +1,123 @@
+// Allocation-freedom of the training hot path, measured rather than
+// linted: this binary replaces the global operator new with a counting
+// forwarder to malloc, so a test can assert that a warmed-up call performs
+// zero heap allocations on the calling thread. Lives in its own executable
+// so no other test runs under the replaced allocator.
+#include <atomic>
+#include <cstdlib>
+#include <new>
+
+#include <gtest/gtest.h>
+
+#include "circuits/analytic_problems.hpp"
+#include "core/actor.hpp"
+#include "core/critic.hpp"
+#include "nn/layer.hpp"
+
+namespace {
+
+std::atomic<long> g_counted_allocations{0};
+thread_local bool t_counting = false;
+
+}  // namespace
+
+void* operator new(std::size_t size) {
+  if (t_counting) g_counted_allocations.fetch_add(1, std::memory_order_relaxed);
+  if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
+  throw std::bad_alloc();
+}
+// Out of line so the compiler never pairs an inlined free() with an
+// operator new call site (a -Wmismatched-new-delete false positive).
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+
+namespace maopt::core {
+namespace {
+
+/// Heap allocations made by `fn` on this thread.
+template <typename Fn>
+long allocations_during(Fn&& fn) {
+  const long before = g_counted_allocations.load();
+  t_counting = true;
+  fn();
+  t_counting = false;
+  return g_counted_allocations.load() - before;
+}
+
+struct HotPathFixture : ::testing::Test {
+  HotPathFixture() : problem(4), scaler(problem.lower_bounds(), problem.upper_bounds()) {
+    Rng rng(1);
+    for (int i = 0; i < 50; ++i) {
+      SimRecord r;
+      r.x = problem.random_design(rng);
+      r.metrics = problem.evaluate(r.x).metrics;
+      r.simulation_ok = true;
+      records.push_back(std::move(r));
+    }
+    critic_config.hidden = {32, 32};
+    critic_config.steps_per_round = 5;
+    actor_config.hidden = {24, 24};
+    actor_config.batch_size = 16;
+    actor_config.steps_per_round = 5;
+  }
+
+  ckt::ConstrainedQuadratic problem;
+  nn::RangeScaler scaler;
+  std::vector<SimRecord> records;
+  CriticConfig critic_config;
+  ActorConfig actor_config;
+};
+
+linalg::Vec g_sink;  // escapes the probe allocation so it cannot be elided
+
+TEST_F(HotPathFixture, CountingAllocatorSeesAllocations) {
+  // Guards the guard: a Vec construction must register.
+  EXPECT_GT(allocations_during([] { g_sink = linalg::Vec(100, 1.0); }), 0);
+}
+
+TEST_F(HotPathFixture, LinearInputGradientIsAllocationFreeWhenWarm) {
+  Rng rng(2);
+  nn::Linear layer(37, 29, rng);
+  nn::Mat x(16, 37, 0.25), dy(16, 29, 0.5);
+  layer.forward(x);
+  layer.input_gradient(dy);  // warm: sizes the output and W^T pack slots
+  EXPECT_EQ(allocations_during([&] {
+              layer.forward(x);
+              layer.input_gradient(dy);
+              layer.backward(dy);
+            }),
+            0);
+}
+
+TEST_F(HotPathFixture, ActorTrainRoundIsAllocationFreeWhenWarm) {
+  const ckt::FomEvaluator fom(problem, 1.0);
+  const PseudoSampleBatcher batcher(records, scaler);
+  const linalg::Vec lb(4, -0.5), ub(4, 0.5);
+  for (const std::size_t members : {std::size_t{1}, std::size_t{3}}) {
+    Rng rng(3);
+    CriticEnsemble critic(members, 4, problem.num_metrics(), critic_config, rng);
+    critic.fit_normalizer(records);
+    Rng train_rng(4);
+    critic.train_round(batcher, train_rng);
+    Actor actor(4, actor_config, rng);
+    actor.train_round(critic, fom, batcher.unit_designs(), lb, ub, train_rng);  // warm
+    EXPECT_EQ(allocations_during([&] {
+                actor.train_round(critic, fom, batcher.unit_designs(), lb, ub, train_rng);
+              }),
+              0)
+        << members << " critic member(s)";
+  }
+}
+
+TEST_F(HotPathFixture, CriticTrainRoundIsAllocationFreeWhenWarm) {
+  const PseudoSampleBatcher batcher(records, scaler);
+  Rng rng(5);
+  Critic critic(4, problem.num_metrics(), critic_config, rng);
+  critic.fit_normalizer(records);
+  Rng train_rng(6);
+  critic.train_round(batcher, train_rng);  // warm
+  EXPECT_EQ(allocations_during([&] { critic.train_round(batcher, train_rng); }), 0);
+}
+
+}  // namespace
+}  // namespace maopt::core

@@ -3,7 +3,6 @@
 #include <gtest/gtest.h>
 
 #include "common/rng.hpp"
-#include "common/thread_pool.hpp"
 
 namespace maopt::linalg {
 namespace {
@@ -58,40 +57,6 @@ TEST(MatmulBlocked, DimensionMismatchThrows) {
   EXPECT_THROW(matmul_blocked(a, b), std::invalid_argument);
 }
 
-TEST(MatmulParallel, MatchesNaiveForEveryThreadCount) {
-  Rng rng(3);
-  const Mat a = random_matrix(70, 130, rng);
-  const Mat b = random_matrix(130, 300, rng);
-  const Mat expected = matmul(a, b);
-  for (const std::size_t threads : {1u, 2u, 4u, 7u}) {
-    ThreadPool pool(threads);
-    // min_flops = 0 forces the parallel path even at this small size.
-    const Mat actual = matmul_parallel(a, b, pool, /*min_flops=*/0.0);
-    expect_close(actual, expected, 1e-10);
-  }
-}
-
-TEST(MatmulParallel, BitIdenticalToBlockedAcrossThreadCounts) {
-  // Row panels never split a dot product, so the parallel kernel must be
-  // bit-identical to the serial blocked kernel, not merely close.
-  Rng rng(4);
-  const Mat a = random_matrix(33, 65, rng);
-  const Mat b = random_matrix(65, 129, rng);
-  const Mat serial = matmul_blocked(a, b);
-  ThreadPool pool(4);
-  const Mat parallel = matmul_parallel(a, b, pool, /*min_flops=*/0.0);
-  for (std::size_t i = 0; i < serial.data().size(); ++i)
-    EXPECT_EQ(serial.data()[i], parallel.data()[i]);
-}
-
-TEST(MatmulParallel, SmallShapesFallBackToSerial) {
-  Rng rng(5);
-  const Mat a = random_matrix(4, 4, rng);
-  const Mat b = random_matrix(4, 4, rng);
-  ThreadPool pool(4);
-  expect_close(matmul_parallel(a, b, pool), matmul(a, b), 1e-12);
-}
-
 TEST(GemmVariants, TransposedKernelsMatchExplicitTranspose) {
   Rng rng(6);
   const std::size_t m = 37, n = 53, k = 29;
@@ -108,7 +73,8 @@ TEST(GemmVariants, TransposedKernelsMatchExplicitTranspose) {
     const Mat a = random_matrix(m, k, rng);
     const Mat b = random_matrix(n, k, rng);
     Mat c(m, n, 0.0);
-    gemm_nt(m, n, k, a.data().data(), b.data().data(), c.data().data());
+    Mat packed(k, n);
+    gemm_nt(m, n, k, a.data().data(), b.data().data(), c.data().data(), packed.data().data());
     expect_close(c, matmul(a, b.transposed()), 1e-11);
   }
 }
