@@ -1,8 +1,9 @@
 // Training-hot-path regression benchmark (the perf record behind the
-// runtime rows): measures the GEMM kernels, CriticEnsemble::train_round on
-// the paper net (2 x 100 hidden, batch 32), and end-to-end MA-Opt
-// simulations/s on an analytic problem, then writes BENCH_train.json so the
-// numbers are versioned and future PRs can spot regressions.
+// runtime rows): measures the GEMM kernels, Critic::train_round (serial and
+// partitioned over a pool) and CriticEnsemble::train_round on the paper net
+// (2 x 100 hidden, batch 32), and end-to-end MA-Opt simulations/s on an
+// analytic problem, then writes BENCH_train.json so the numbers are
+// versioned and future PRs can spot regressions.
 //
 // Flags:
 //   --smoke           tiny sizes / few reps (CTest wiring; seconds, not minutes)
@@ -112,6 +113,21 @@ int main(int argc, char** argv) {
       const double ms = seconds_since(t0) / reps * 1e3;
       std::printf("critic train_round (1 member, serial): %.2f ms\n", ms);
       metrics.push_back({"train_round_ms", ms, "ms"});
+    }
+
+    // The same round partitioned across a 3-worker pool plus the caller
+    // (MA-Opt's num_critics=1 path on its 3-actor pool).
+    {
+      Rng crng(3), trng(4);
+      core::Critic critic(dim, num_metrics, cfg, crng);
+      critic.fit_normalizer(records);
+      ThreadPool pool(3);
+      checksum_sink += critic.train_round(batcher, trng, &pool);
+      const auto t0 = Clock::now();
+      for (int r = 0; r < reps; ++r) checksum_sink += critic.train_round(batcher, trng, &pool);
+      const double ms = seconds_since(t0) / reps * 1e3;
+      std::printf("critic train_round (1 member, 3-worker pool + caller): %.2f ms\n", ms);
+      metrics.push_back({"critic_round_pooled_ms", ms, "ms"});
     }
 
     // Ensemble across the pool (the ablation num_critics>1 path).

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstdio>
 #include <fstream>
+#include <thread>
 
 namespace maopt::bench {
 
@@ -199,21 +200,51 @@ void print_ascii_fom_plot(const std::vector<AlgoSummary>& summaries) {
   std::printf("%6.2f +%s\n", lo, std::string(kCols, '-').c_str());
 }
 
+namespace {
+
+std::string cpu_model() {
+  std::ifstream in("/proc/cpuinfo");
+  std::string line;
+  while (std::getline(in, line)) {
+    const std::size_t colon = line.find(':');
+    if (line.rfind("model name", 0) != 0 || colon == std::string::npos) continue;
+    const std::size_t start = line.find_first_not_of(" \t", colon + 1);
+    if (start != std::string::npos) return line.substr(start);
+  }
+  return "unknown";
+}
+
+std::string compiler() {
+#if defined(__clang__)
+  return "Clang " __clang_version__;
+#elif defined(__GNUC__)
+  return "GCC " __VERSION__;
+#else
+  return "unknown";
+#endif
+}
+
+}  // namespace
+
 void write_bench_json(const std::string& path, const std::vector<BenchMetric>& metrics) {
   if (path.empty()) return;
   std::ofstream out(path);
-  out << "{\n";
+  // Names, units and host strings are escaped for the two characters that
+  // could break the quoting.
+  auto escaped = [](const std::string& s) {
+    std::string e;
+    for (const char c : s) {
+      if (c == '"' || c == '\\') e.push_back('\\');
+      e.push_back(c);
+    }
+    return e;
+  };
+  out << "{\n  \"host\": {\"nproc\": " << std::thread::hardware_concurrency() << ", \"cpu\": \""
+      << escaped(cpu_model()) << "\", \"compiler\": \"" << escaped(compiler())
+      << "\", \"build_type\": \"" << escaped(MAOPT_BUILD_TYPE) << "\"}";
+  if (!metrics.empty()) out << ",";
+  out << "\n";
   for (std::size_t i = 0; i < metrics.size(); ++i) {
-    // Metric names/units are code-controlled identifiers; escape the two
-    // characters that could still break the quoting.
-    auto escaped = [](const std::string& s) {
-      std::string e;
-      for (const char c : s) {
-        if (c == '"' || c == '\\') e.push_back('\\');
-        e.push_back(c);
-      }
-      return e;
-    };
     char value[64];
     std::snprintf(value, sizeof value, "%.6g", metrics[i].value);
     out << "  \"" << escaped(metrics[i].name) << "\": {\"value\": " << value << ", \"unit\": \""

@@ -96,9 +96,10 @@ struct BenchMetric {
 };
 
 /// Writes `metrics` to `path` as a flat JSON object
-///   {"<name>": {"value": <v>, "unit": "<unit>"}, ...}
+///   {"host": {...}, "<name>": {"value": <v>, "unit": "<unit>"}, ...}
 /// so successive runs can be diffed for performance regressions
-/// (BENCH_train.json is the training-hot-path record).
+/// (BENCH_train.json is the training-hot-path record). "host" records the
+/// machine and build: nproc, CPU model, compiler and build type.
 void write_bench_json(const std::string& path, const std::vector<BenchMetric>& metrics);
 
 }  // namespace maopt::bench

@@ -127,7 +127,7 @@ void BM_GemmTn(benchmark::State& state) {
   const Vec x = random_vec(s.batch * s.in, 6), dy = random_vec(s.batch * s.out, 8);
   Vec dw(s.in * s.out, 0.0);
   for (auto _ : state) {
-    gemm_tn(s.in, s.out, s.batch, x.data(), dy.data(), dw.data());
+    gemm_tn(s.in, s.out, s.batch, x.data(), s.in, dy.data(), dw.data());
     benchmark::DoNotOptimize(dw.data());
     benchmark::ClobberMemory();
   }

@@ -54,14 +54,20 @@ class Critic final : public Surrogate {
   Critic(std::size_t dim, std::size_t num_metrics, const CriticConfig& config, Rng& rng);
 
   /// Copy shares no state; used to give each actor-training thread a private
-  /// forward/backward workspace. The optimizer state is reset in the copy.
+  /// forward/backward workspace. The optimizer state is reset in the copy,
+  /// and the training buffers are not copied.
   Critic(const Critic& other);
   Critic& operator=(const Critic&) = delete;
 
-  /// Refits the metric normalizer on the current population and runs
-  /// `steps_per_round` minibatch steps on pseudo-samples. Returns mean MSE
-  /// (normalized units) over the round.
-  double train_round(const PseudoSampleBatcher& batcher, Rng& rng);
+  /// Runs `steps_per_round` minibatch steps on pseudo-samples (the metric
+  /// normalizer must be fitted). Returns mean MSE (normalized units) over
+  /// the round. Each step is two phases of fixed chunks run by the caller
+  /// plus idle workers of `pool` (the caller alone when null): batch-row
+  /// blocks for the forward pass, loss gradient and input-gradient chain,
+  /// then parameter-row blocks for dW, db and the Adam update. Every element
+  /// comes from the same kernel call with the same operands whoever runs
+  /// it, so the weights and the loss are bit-identical for any pool.
+  double train_round(const PseudoSampleBatcher& batcher, Rng& rng, ThreadPool* pool = nullptr);
 
   void predict_into(const nn::Mat& x_dx, nn::Mat& raw) override;
   /// Single-sample convenience.
@@ -77,14 +83,31 @@ class Critic final : public Surrogate {
   nn::Mlp& network() { return mlp_; }
 
  private:
+  /// One Linear layer of mlp_ as the training round sees it: W is (in x out)
+  /// row-major; act/grad are its (batch x out) output and loss gradient.
+  struct LayerView {
+    std::size_t in = 0, out = 0;
+    Vec *w = nullptr, *dw = nullptr, *b = nullptr, *db = nullptr;
+    nn::Mat act;     ///< output; ReLU applied in place on hidden layers
+    nn::Mat grad;    ///< dL/d(pre-activation output)
+    nn::Mat packed;  ///< W^T (out x in) for the input-gradient GEMM
+  };
+
+  void bind_layers();
+  void prepare_round(std::size_t batch);
+  std::size_t num_param_chunks() const;
+  void rows_chunk(std::size_t chunk);
+  void params_chunk(std::size_t chunk, const nn::AdamStep& step);
+
   std::size_t dim_;
   std::size_t num_metrics_;
   CriticConfig config_;
   nn::Mlp mlp_;
   nn::Adam adam_;
   nn::ZScoreNormalizer norm_;
-  // Minibatch scratch reused across all train_round calls (not copied).
-  nn::Mat batch_x_, batch_y_raw_, batch_y_, batch_grad_;
+  // Training state reused across train_round calls (not copied).
+  std::vector<LayerView> layers_;
+  nn::Mat batch_x_, batch_y_raw_, batch_y_;
   // Normalized-space loss gradient for action_gradient_into (not copied).
   nn::Mat dz_;
 };
@@ -99,10 +122,11 @@ class CriticEnsemble final : public Surrogate {
                  const CriticConfig& config, Rng& rng);
   CriticEnsemble(const CriticEnsemble& other) = default;
 
-  /// Trains every member for one round, across `pool` when given (nullptr or
-  /// a 1-worker pool trains serially). Each member draws from its own
-  /// derive_seed-derived stream keyed off a single draw from `rng`, so the
-  /// resulting parameters are bit-identical for every thread count.
+  /// Trains every member for one round. Each member draws from its own
+  /// derive_seed-derived stream keyed off a single draw from `rng`. With one
+  /// member, that member's round is partitioned across `pool`; with several,
+  /// members train in parallel across `pool` (serially on a 1-worker pool).
+  /// Either way the parameters are bit-identical for every thread count.
   double train_round(const PseudoSampleBatcher& batcher, Rng& rng, ThreadPool* pool = nullptr);
   void fit_normalizer(const std::vector<SimRecord>& records, ThreadPool* pool = nullptr);
 

@@ -4,6 +4,7 @@
 #include <atomic>
 #include <cmath>
 #include <deque>
+#include <limits>
 
 #include "circuits/resilient_problem.hpp"
 #include "common/check.hpp"
@@ -286,6 +287,7 @@ RunHistory MaOptimizer::run_impl(const SizingProblem& problem, std::vector<SimRe
 
     current_iter = t;
     Stopwatch iter_clock;
+    double critic_loss = std::numeric_limits<double>::quiet_NaN();
     const bool replaying = replay_pos < replay_count;
     const bool ns_turn = specs_met && config_.use_near_sampling && critic_trained &&
                          (t % std::max(1, config_.t_ns) == 0);
@@ -333,7 +335,7 @@ RunHistory MaOptimizer::run_impl(const SizingProblem& problem, std::vector<SimRe
       obs::ScopedSpan critic_span(spans, obs::Phase::CriticTrain);
       const PseudoSampleBatcher batcher(training_set, scaler);
       critic.fit_normalizer(training_set, &pool);
-      critic.train_round(batcher, critic_rng, &pool);
+      critic_loss = critic.train_round(batcher, critic_rng, &pool);
       critic_span.stop();
       critic_trained = true;
       if (!replaying) history.train_seconds += train_clock.elapsed_seconds();
@@ -454,6 +456,7 @@ RunHistory MaOptimizer::run_impl(const SizingProblem& problem, std::vector<SimRe
       event.feasible_found = specs_met;
       event.near_sampling = ns_iteration;
       event.wall_seconds = iter_clock.elapsed_seconds();
+      event.critic_loss = critic_loss;
       event.spans = spans.take();
       telemetry.emit(event);
     }

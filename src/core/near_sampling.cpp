@@ -18,36 +18,43 @@ Vec near_sampling_candidate(const ckt::SizingProblem& problem, const FomEvaluato
   const Vec& hi = problem.upper_bounds();
   const Vec x_opt_unit = scaler.to_unit(x_opt_raw);
 
+  // Candidates are drawn and scored in blocks through one reused input and
+  // output pair, so the critic's workspaces stay at block size instead of
+  // growing to num_samples rows. Draw order, per-row predictions and the
+  // strict-< first-minimum rule are those of one whole-matrix pass.
+  constexpr std::size_t kBlockRows = 64;
   const auto n = static_cast<std::size_t>(config.num_samples);
-  std::vector<Vec> raw_samples;
-  raw_samples.reserve(n);
-  nn::Mat critic_in(n, 2 * d);
-  for (std::size_t k = 0; k < n; ++k) {
-    Vec s(d);
-    for (std::size_t i = 0; i < d; ++i) {
-      const double delta = config.delta_frac * (hi[i] - lo[i]);
-      s[i] = std::clamp(x_opt_raw[i] + rng.uniform(-delta, delta), lo[i], hi[i]);
-    }
-    s = problem.clip(std::move(s));
-    const Vec su = scaler.to_unit(s);
-    for (std::size_t i = 0; i < d; ++i) {
-      critic_in(k, i) = x_opt_unit[i];
-      critic_in(k, d + i) = su[i] - x_opt_unit[i];
-    }
-    raw_samples.push_back(std::move(s));
-  }
-
-  const nn::Mat raw_metrics = critic.predict(critic_in);
-  std::size_t best = 0;
+  nn::Mat critic_in, raw_metrics, block_raw;
+  Vec best_x;
   double best_g = 1e300;
-  for (std::size_t k = 0; k < n; ++k) {
-    const double g = fom(raw_metrics.row(k));
-    if (g < best_g) {
-      best_g = g;
-      best = k;
+  for (std::size_t k0 = 0; k0 < n; k0 += kBlockRows) {
+    const std::size_t rows = std::min(kBlockRows, n - k0);
+    critic_in.ensure_shape(rows, 2 * d);
+    block_raw.ensure_shape(rows, d);
+    for (std::size_t r = 0; r < rows; ++r) {
+      Vec s(d);
+      for (std::size_t i = 0; i < d; ++i) {
+        const double delta = config.delta_frac * (hi[i] - lo[i]);
+        s[i] = std::clamp(x_opt_raw[i] + rng.uniform(-delta, delta), lo[i], hi[i]);
+      }
+      s = problem.clip(std::move(s));
+      const Vec su = scaler.to_unit(s);
+      for (std::size_t i = 0; i < d; ++i) {
+        critic_in(r, i) = x_opt_unit[i];
+        critic_in(r, d + i) = su[i] - x_opt_unit[i];
+      }
+      std::copy(s.begin(), s.end(), block_raw.row(r).begin());
+    }
+    critic.predict_into(critic_in, raw_metrics);
+    for (std::size_t r = 0; r < rows; ++r) {
+      const double g = fom(raw_metrics.row(r));
+      if (k0 + r == 0 || g < best_g) {
+        best_g = std::min(best_g, g);  // sample 0 stands until something beats 1e300
+        best_x.assign(block_raw.row(r).begin(), block_raw.row(r).end());
+      }
     }
   }
-  return raw_samples[best];
+  return best_x;
 }
 
 }  // namespace maopt::core

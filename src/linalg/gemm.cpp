@@ -107,10 +107,11 @@ MAOPT_HOT void gemm_nn(std::size_t m, std::size_t n, std::size_t k, const double
 }
 
 MAOPT_GEMM_CLONES
-MAOPT_HOT void gemm_tn(std::size_t m, std::size_t n, std::size_t k, const double* a, const double* b,
-             double* c) {
+MAOPT_HOT void gemm_tn(std::size_t m, std::size_t n, std::size_t k, const double* a,
+                       std::size_t lda, const double* b, double* c) {
   dcheck_gemm_args(m, n, k, a, b, c);
-  // A is (k x m): column i of A^T is the stride-m column i of A.
+  MAOPT_DCHECK(lda >= m, "gemm_tn: lda < m");
+  // A is (k x lda): column i of A^T is the stride-lda column i of A.
   for (std::size_t kk = 0; kk < k; kk += kDepthTile) {
     const std::size_t kend = std::min(k, kk + kDepthTile);
     for (std::size_t ii = 0; ii < m; ii += kRowsTile) {
@@ -123,10 +124,10 @@ MAOPT_HOT void gemm_tn(std::size_t m, std::size_t n, std::size_t k, const double
         double* crow1 = crow0 + n;
         std::size_t p = kk;
         for (; p + 4 <= kend; p += 4) {
-          const double a00 = a[p * m + i], a10 = a[p * m + i + 1];
-          const double a01 = a[(p + 1) * m + i], a11 = a[(p + 1) * m + i + 1];
-          const double a02 = a[(p + 2) * m + i], a12 = a[(p + 2) * m + i + 1];
-          const double a03 = a[(p + 3) * m + i], a13 = a[(p + 3) * m + i + 1];
+          const double a00 = a[p * lda + i], a10 = a[p * lda + i + 1];
+          const double a01 = a[(p + 1) * lda + i], a11 = a[(p + 1) * lda + i + 1];
+          const double a02 = a[(p + 2) * lda + i], a12 = a[(p + 2) * lda + i + 1];
+          const double a03 = a[(p + 3) * lda + i], a13 = a[(p + 3) * lda + i + 1];
           const double* b0 = b + p * n;
           const double* b1 = b0 + n;
           const double* b2 = b1 + n;
@@ -138,7 +139,7 @@ MAOPT_HOT void gemm_tn(std::size_t m, std::size_t n, std::size_t k, const double
           }
         }
         for (; p < kend; ++p) {
-          const double a0 = a[p * m + i], a1 = a[p * m + i + 1];
+          const double a0 = a[p * lda + i], a1 = a[p * lda + i + 1];
           const double* bp = b + p * n;
           for (std::size_t j = 0; j < n; ++j) {
             crow0[j] += a0 * bp[j];
@@ -150,10 +151,10 @@ MAOPT_HOT void gemm_tn(std::size_t m, std::size_t n, std::size_t k, const double
         double* crow = c + i * n;
         std::size_t p = kk;
         for (; p + 4 <= kend; p += 4) {
-          const double a0 = a[p * m + i];
-          const double a1 = a[(p + 1) * m + i];
-          const double a2 = a[(p + 2) * m + i];
-          const double a3 = a[(p + 3) * m + i];
+          const double a0 = a[p * lda + i];
+          const double a1 = a[(p + 1) * lda + i];
+          const double a2 = a[(p + 2) * lda + i];
+          const double a3 = a[(p + 3) * lda + i];
           const double* b0 = b + p * n;
           const double* b1 = b0 + n;
           const double* b2 = b1 + n;
@@ -162,7 +163,7 @@ MAOPT_HOT void gemm_tn(std::size_t m, std::size_t n, std::size_t k, const double
             crow[j] += a0 * b0[j] + a1 * b1[j] + a2 * b2[j] + a3 * b3[j];
         }
         for (; p < kend; ++p) {
-          const double ap = a[p * m + i];
+          const double ap = a[p * lda + i];
           const double* bp = b + p * n;
           for (std::size_t j = 0; j < n; ++j) crow[j] += ap * bp[j];
         }

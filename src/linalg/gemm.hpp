@@ -27,9 +27,12 @@ namespace maopt::linalg {
 void gemm_nn(std::size_t m, std::size_t n, std::size_t k, const double* a, const double* b,
              double* c);
 
-/// C (m x n) += A^T * B where A is stored (k x m) row-major.
-void gemm_tn(std::size_t m, std::size_t n, std::size_t k, const double* a, const double* b,
-             double* c);
+/// C (m x n) += A^T * B where A^T is the first m columns of A, stored
+/// (k x lda) row-major (lda >= m; lda == m for a contiguous A). A column
+/// block of a wider A (a row block of dW = X^T dY) needs no copy: pass a
+/// pointer to its first column and the full row stride.
+void gemm_tn(std::size_t m, std::size_t n, std::size_t k, const double* a, std::size_t lda,
+             const double* b, double* c);
 
 /// C (m x n) += A * B^T where B is stored (n x k) row-major. `b_packed` is
 /// caller-owned scratch of k * n doubles; it receives B^T (k x n). Each
@@ -38,6 +41,12 @@ void gemm_tn(std::size_t m, std::size_t n, std::size_t k, const double* a, const
 /// c += s — identical on every target (gemm_nt.cpp).
 void gemm_nt(std::size_t m, std::size_t n, std::size_t k, const double* a, const double* b,
              double* c, double* b_packed);
+
+/// gemm_nt without the packing pass: `bt` already holds B^T (k x n), as
+/// gemm_nt's `b_packed` would. Same per-element rounding as gemm_nt. Lets a
+/// caller pack once and run many row blocks of A against the transpose.
+void gemm_nt_packed(std::size_t m, std::size_t n, std::size_t k, const double* a,
+                    const double* bt, double* c);
 
 /// c = a * b via the blocked serial kernel; c is reshaped (capacity reused).
 void matmul_blocked(const Mat& a, const Mat& b, Mat& c);

@@ -94,32 +94,37 @@ template <std::size_t R>
 }  // namespace
 
 MAOPT_TARGET_CLONES
-MAOPT_HOT void gemm_nt(std::size_t m, std::size_t n, std::size_t k, const double* a,
-                       const double* b, double* c, double* b_packed) {
-  MAOPT_DCHECK(m == 0 || n == 0 || k == 0 ||
-                   (a != nullptr && b != nullptr && c != nullptr && b_packed != nullptr),
+MAOPT_HOT void gemm_nt_packed(std::size_t m, std::size_t n, std::size_t k, const double* a,
+                              const double* bt, double* c) {
+  MAOPT_DCHECK(m == 0 || n == 0 || k == 0 || (a != nullptr && bt != nullptr && c != nullptr),
                "gemm_nt: null operand with nonzero extents");
-  for (std::size_t j = 0; j < n; ++j)
-    for (std::size_t p = 0; p < k; ++p) b_packed[p * n + j] = b[j * k + p];
-
   // Column panels outermost: an 8-wide panel of the transpose (k x 64 bytes)
   // stays in L1 while every row block of A streams past it.
   std::size_t j = 0;
   for (; j + 2 * kLanes <= n; j += 2 * kLanes) {
     std::size_t i = 0;
-    for (; i + 4 <= m; i += 4) nt_block<4, 2>(n, k, a + i * k, b_packed + j, c + i * n + j);
-    for (; i < m; ++i) nt_block<1, 2>(n, k, a + i * k, b_packed + j, c + i * n + j);
+    for (; i + 4 <= m; i += 4) nt_block<4, 2>(n, k, a + i * k, bt + j, c + i * n + j);
+    for (; i < m; ++i) nt_block<1, 2>(n, k, a + i * k, bt + j, c + i * n + j);
   }
   for (; j + kLanes <= n; j += kLanes) {
     std::size_t i = 0;
-    for (; i + 4 <= m; i += 4) nt_block<4, 1>(n, k, a + i * k, b_packed + j, c + i * n + j);
-    for (; i < m; ++i) nt_block<1, 1>(n, k, a + i * k, b_packed + j, c + i * n + j);
+    for (; i + 4 <= m; i += 4) nt_block<4, 1>(n, k, a + i * k, bt + j, c + i * n + j);
+    for (; i < m; ++i) nt_block<1, 1>(n, k, a + i * k, bt + j, c + i * n + j);
   }
   for (; j < n; ++j) {
     std::size_t i = 0;
-    for (; i + 4 <= m; i += 4) nt_column<4>(n, k, a + i * k, b_packed + j, c + i * n + j);
-    for (; i < m; ++i) nt_column<1>(n, k, a + i * k, b_packed + j, c + i * n + j);
+    for (; i + 4 <= m; i += 4) nt_column<4>(n, k, a + i * k, bt + j, c + i * n + j);
+    for (; i < m; ++i) nt_column<1>(n, k, a + i * k, bt + j, c + i * n + j);
   }
+}
+
+MAOPT_HOT void gemm_nt(std::size_t m, std::size_t n, std::size_t k, const double* a,
+                       const double* b, double* c, double* b_packed) {
+  MAOPT_DCHECK(m == 0 || n == 0 || k == 0 || (b != nullptr && b_packed != nullptr),
+               "gemm_nt: null operand with nonzero extents");
+  for (std::size_t j = 0; j < n; ++j)
+    for (std::size_t p = 0; p < k; ++p) b_packed[p * n + j] = b[j * k + p];
+  gemm_nt_packed(m, n, k, a, b_packed, c);
 }
 
 }  // namespace maopt::linalg

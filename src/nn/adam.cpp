@@ -2,6 +2,7 @@
 
 #include <cmath>
 
+#include "common/check.hpp"
 #include "common/thread_annotations.hpp"
 
 namespace maopt::nn {
@@ -42,20 +43,32 @@ Adam::Adam(std::vector<ParamRef> params, AdamConfig config)
   }
 }
 
-MAOPT_HOT void Adam::step() {
+AdamStep Adam::begin_step() {
   ++t_;
   // Hoist the bias corrections as reciprocals: the update then costs one
   // sqrt and one division per parameter instead of one sqrt and three.
-  const double inv_bc1 = 1.0 / (1.0 - std::pow(config_.beta1, static_cast<double>(t_)));
-  const double inv_bc2 = 1.0 / (1.0 - std::pow(config_.beta2, static_cast<double>(t_)));
-  const double beta1 = config_.beta1, one_minus_beta1 = 1.0 - config_.beta1;
-  const double beta2 = config_.beta2, one_minus_beta2 = 1.0 - config_.beta2;
-  const double lr = config_.lr, eps = config_.eps, wd = config_.weight_decay;
-  for (std::size_t k = 0; k < params_.size(); ++k) {
-    adam_update(params_[k].value->data(), params_[k].grad->data(), m_[k].data(), v_[k].data(),
-                params_[k].value->size(), beta1, one_minus_beta1, beta2, one_minus_beta2,
-                inv_bc1, inv_bc2, lr, eps, wd);
-  }
+  return {.beta1 = config_.beta1,
+          .one_minus_beta1 = 1.0 - config_.beta1,
+          .beta2 = config_.beta2,
+          .one_minus_beta2 = 1.0 - config_.beta2,
+          .inv_bc1 = 1.0 / (1.0 - std::pow(config_.beta1, static_cast<double>(t_))),
+          .inv_bc2 = 1.0 / (1.0 - std::pow(config_.beta2, static_cast<double>(t_))),
+          .lr = config_.lr,
+          .eps = config_.eps,
+          .wd = config_.weight_decay};
+}
+
+MAOPT_HOT void Adam::update(const AdamStep& s, std::size_t k, std::size_t lo, std::size_t hi) {
+  MAOPT_DCHECK(k < params_.size() && lo <= hi && hi <= params_[k].value->size(),
+               "Adam::update: range outside the parameter");
+  adam_update(params_[k].value->data() + lo, params_[k].grad->data() + lo, m_[k].data() + lo,
+              v_[k].data() + lo, hi - lo, s.beta1, s.one_minus_beta1, s.beta2,
+              s.one_minus_beta2, s.inv_bc1, s.inv_bc2, s.lr, s.eps, s.wd);
+}
+
+MAOPT_HOT void Adam::step() {
+  const AdamStep s = begin_step();
+  for (std::size_t k = 0; k < params_.size(); ++k) update(s, k, 0, params_[k].value->size());
 }
 
 }  // namespace maopt::nn

@@ -49,7 +49,8 @@ void Linear::param_gradient(const Mat& dy) {
     for (std::size_t j = 0; j < out_; ++j) db_[j] += dyrow[j];
   }
   // dW += X^T dY
-  linalg::gemm_tn(in_, out_, dy.rows(), last_x_->data().data(), dy.data().data(), dw_.data());
+  linalg::gemm_tn(in_, out_, dy.rows(), last_x_->data().data(), in_, dy.data().data(),
+                  dw_.data());
 }
 
 const Mat& Linear::input_gradient(const Mat& dy) {

@@ -10,6 +10,7 @@
 #pragma once
 
 #include <cstdint>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -88,6 +89,9 @@ struct IterationCompleted {
   bool feasible_found = false;
   bool near_sampling = false;  ///< iteration ran Algorithm 3 instead of 1
   double wall_seconds = 0.0;   ///< this iteration's wall clock
+  /// Mean critic MSE (normalized units) of this iteration's training round;
+  /// NaN (JSON null) when the iteration trained no critic.
+  double critic_loss = std::numeric_limits<double>::quiet_NaN();
   std::vector<PhaseSpan> spans;
 };
 

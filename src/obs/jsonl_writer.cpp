@@ -141,6 +141,8 @@ void JsonlObserver::on_iteration_completed(const IterationCompleted& e) {
   append_bool(line, e.near_sampling);
   line += ",\"wall_seconds\":";
   append_double(line, e.wall_seconds);
+  line += ",\"critic_loss\":";
+  append_double(line, e.critic_loss);
   line += ",\"spans\":[";
   for (std::size_t i = 0; i < e.spans.size(); ++i) {
     if (i > 0) line += ',';

@@ -121,6 +121,9 @@ TEST(ExpCommon, BenchJsonWellFormed) {
   EXPECT_NE(text.find("\"train_round_ms\": {\"value\": 3.25, \"unit\": \"ms\"}"), std::string::npos);
   // Quotes and backslashes in names must be escaped so the file stays JSON.
   EXPECT_NE(text.find("\"odd\\\"name\\\\\""), std::string::npos) << text;
+  // The host the numbers came from is recorded first.
+  EXPECT_NE(text.find("\"host\": {\"nproc\": "), std::string::npos) << text;
+  EXPECT_NE(text.find("\"build_type\": "), std::string::npos) << text;
   EXPECT_EQ(text.front(), '{');
   EXPECT_EQ(text.back(), '\n');
   std::remove(path.c_str());

@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include "circuits/analytic_problems.hpp"
+#include "common/thread_pool.hpp"
 #include "core/actor.hpp"
 #include "core/critic.hpp"
 #include "nn/layer.hpp"
@@ -18,11 +19,13 @@ namespace {
 
 std::atomic<long> g_counted_allocations{0};
 thread_local bool t_counting = false;
+std::atomic<bool> g_counting_all_threads{false};
 
 }  // namespace
 
 void* operator new(std::size_t size) {
-  if (t_counting) g_counted_allocations.fetch_add(1, std::memory_order_relaxed);
+  if (t_counting || g_counting_all_threads.load(std::memory_order_relaxed))
+    g_counted_allocations.fetch_add(1, std::memory_order_relaxed);
   if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
   throw std::bad_alloc();
 }
@@ -41,6 +44,16 @@ long allocations_during(Fn&& fn) {
   t_counting = true;
   fn();
   t_counting = false;
+  return g_counted_allocations.load() - before;
+}
+
+/// Heap allocations made by any thread while `fn` runs.
+template <typename Fn>
+long allocations_anywhere(Fn&& fn) {
+  const long before = g_counted_allocations.load();
+  g_counting_all_threads = true;
+  fn();
+  g_counting_all_threads = false;
   return g_counted_allocations.load() - before;
 }
 
@@ -117,6 +130,27 @@ TEST_F(HotPathFixture, CriticTrainRoundIsAllocationFreeWhenWarm) {
   Rng train_rng(6);
   critic.train_round(batcher, train_rng);  // warm
   EXPECT_EQ(allocations_during([&] { critic.train_round(batcher, train_rng); }), 0);
+}
+
+TEST_F(HotPathFixture, PooledCriticRoundAllocatesPerRoundNotPerStep) {
+  // A pooled round allocates only to dispatch its helpers, once per round:
+  // 10 and 50 steps must allocate the same amount, on every thread.
+  const PseudoSampleBatcher batcher(records, scaler);
+  std::vector<long> counts;
+  for (const int steps : {10, 50}) {
+    ThreadPool pool(3);  // fresh, so the task queue's own growth is identical
+    CriticConfig config = critic_config;
+    config.steps_per_round = steps;
+    Rng rng(7);
+    Critic critic(4, problem.num_metrics(), config, rng);
+    critic.fit_normalizer(records);
+    Rng train_rng(8);
+    critic.train_round(batcher, train_rng, &pool);  // warm
+    counts.push_back(
+        allocations_anywhere([&] { critic.train_round(batcher, train_rng, &pool); }));
+  }
+  EXPECT_GT(counts[0], 0) << "no helper was dispatched";
+  EXPECT_EQ(counts[0], counts[1]);
 }
 
 }  // namespace

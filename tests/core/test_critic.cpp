@@ -2,9 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cmath>
+#include <thread>
 
 #include "circuits/analytic_problems.hpp"
+#include "nn/adam.hpp"
 
 namespace maopt::core {
 namespace {
@@ -135,6 +138,130 @@ TEST_F(CriticFixture, PredictOneMatchesBatchPredict) {
   }
   const nn::Mat batch = critic.predict(in);
   for (std::size_t c = 0; c < 3; ++c) EXPECT_DOUBLE_EQ(single[c], batch(0, c));
+}
+
+/// Every trainable value of `critic`, in parameter order.
+std::vector<double> flat_parameters(Critic& critic) {
+  std::vector<double> out;
+  for (const auto& p : critic.network().params())
+    out.insert(out.end(), p.value->begin(), p.value->end());
+  return out;
+}
+
+void expect_same_bits(const std::vector<double>& a, const std::vector<double>& b,
+                      const std::string& what) {
+  ASSERT_EQ(a.size(), b.size()) << what;
+  for (std::size_t i = 0; i < a.size(); ++i) ASSERT_EQ(a[i], b[i]) << what << " parameter " << i;
+}
+
+struct PartitionCase {
+  std::vector<std::size_t> hidden;
+  std::size_t batch;
+};
+
+std::vector<PartitionCase> partition_cases() {
+  std::vector<PartitionCase> cases;
+  for (const auto& hidden : {std::vector<std::size_t>{100, 100}, std::vector<std::size_t>{7, 13}})
+    for (const std::size_t batch : {64, 37, 5, 1}) cases.push_back({hidden, batch});
+  return cases;
+}
+
+TEST_F(CriticFixture, PoolLessRoundMatchesWholeBatchReference) {
+  // The partitioned round must reproduce the whole-batch Mlp forward /
+  // backward_params / Adam::step loop it replaced, bit for bit — the
+  // trajectories of earlier versions depend on it.
+  const PseudoSampleBatcher batcher(records, scaler);
+  for (const PartitionCase& c : partition_cases()) {
+    CriticConfig cfg = config;
+    cfg.hidden = c.hidden;
+    cfg.batch_size = c.batch;
+    cfg.steps_per_round = 7;
+    Rng rng_a(8), rng_b(8);
+    Critic critic(3, 3, cfg, rng_a);
+    nn::Mlp net(6, cfg.hidden, 3, rng_b, nn::Activation::Relu, false);
+    nn::Adam adam(net.params(), {.lr = cfg.learning_rate});
+    critic.fit_normalizer(records);
+    nn::ZScoreNormalizer norm;
+    nn::Mat metrics(records.size(), 3);
+    for (std::size_t i = 0; i < records.size(); ++i)
+      for (std::size_t j = 0; j < 3; ++j) metrics(i, j) = records[i].metrics[j];
+    norm.fit(metrics);
+
+    Rng trng_a(9), trng_b(9);
+    nn::Mat x, y_raw, y, grad;
+    for (int round = 0; round < 3; ++round) {
+      const double loss = critic.train_round(batcher, trng_a);
+      double total = 0.0;
+      for (int s = 0; s < cfg.steps_per_round; ++s) {
+        batcher.sample(cfg.batch_size, trng_b, x, y_raw);
+        norm.transform_into(y_raw, y);
+        total += nn::mse_loss(net.forward(x), y, &grad);
+        net.backward_params(grad);
+        adam.step();
+      }
+      const double ref_loss = total / cfg.steps_per_round;
+      const std::string what = "hidden " + std::to_string(c.hidden[0]) + " batch " +
+                               std::to_string(c.batch) + " round " + std::to_string(round);
+      ASSERT_EQ(loss, ref_loss) << what;
+      std::vector<double> ref;
+      for (const auto& p : net.params()) ref.insert(ref.end(), p.value->begin(), p.value->end());
+      expect_same_bits(flat_parameters(critic), ref, what);
+    }
+  }
+}
+
+TEST_F(CriticFixture, PooledRoundMatchesPoolLessRoundBitwise) {
+  const PseudoSampleBatcher batcher(records, scaler);
+  for (const PartitionCase& c : partition_cases()) {
+    CriticConfig cfg = config;
+    cfg.hidden = c.hidden;
+    cfg.batch_size = c.batch;
+    cfg.steps_per_round = 6;
+    // Pool-less reference: 5 rounds' losses and final parameters.
+    Rng rng_ref(10), trng_ref(11);
+    Critic reference(3, 3, cfg, rng_ref);
+    reference.fit_normalizer(records);
+    std::vector<double> ref_losses;
+    for (int round = 0; round < 5; ++round)
+      ref_losses.push_back(reference.train_round(batcher, trng_ref));
+    const std::vector<double> ref_params = flat_parameters(reference);
+
+    for (const std::size_t workers : {1, 2, 3, 7}) {
+      ThreadPool pool(workers);
+      Rng rng(10), trng(11);
+      Critic critic(3, 3, cfg, rng);
+      critic.fit_normalizer(records);
+      const std::string what = "hidden " + std::to_string(c.hidden[0]) + " batch " +
+                               std::to_string(c.batch) + " workers " + std::to_string(workers);
+      for (int round = 0; round < 5; ++round)
+        ASSERT_EQ(critic.train_round(batcher, trng, &pool), ref_losses[round])
+            << what << " round " << round;
+      expect_same_bits(flat_parameters(critic), ref_params, what);
+    }
+  }
+}
+
+TEST_F(CriticFixture, LateWorkersGiveTheSameBits) {
+  // Helpers that start after the caller has run some (or all) of the round's
+  // chunks must neither change the result nor hold the round up.
+  const PseudoSampleBatcher batcher(records, scaler);
+  CriticConfig cfg = config;
+  cfg.hidden = {100, 100};
+  cfg.batch_size = 64;
+  cfg.steps_per_round = 5;
+  Rng rng_ref(12), trng_ref(13), rng(12), trng(13);
+  Critic reference(3, 3, cfg, rng_ref), critic(3, 3, cfg, rng);
+  reference.fit_normalizer(records);
+  critic.fit_normalizer(records);
+  ThreadPool pool(3);
+  for (int round = 0; round < 5; ++round) {
+    // Occupy some workers so their helper tasks queue behind a sleep.
+    for (int w = 0; w <= round % 3; ++w)
+      pool.submit([] { std::this_thread::sleep_for(std::chrono::milliseconds(20)); });
+    ASSERT_EQ(critic.train_round(batcher, trng, &pool), reference.train_round(batcher, trng_ref))
+        << "round " << round;
+  }
+  expect_same_bits(flat_parameters(critic), flat_parameters(reference), "late workers");
 }
 
 }  // namespace

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "circuits/analytic_problems.hpp"
+#include "circuits/two_stage_ota.hpp"
 #include "core/random_search.hpp"
 
 namespace maopt::core {
@@ -161,6 +162,36 @@ TEST_F(OptFixture, BestFeasibleReturnsLowestTargetAmongFeasible) {
         EXPECT_LE(bf->metrics[0], r.metrics[0]);
       }
     }
+  }
+}
+
+TEST(MaOptThreads, OtaTrajectoryIdenticalForEveryThreadCount) {
+  // The critic round is partitioned across the optimizer's pool; neither it
+  // nor the actor fan-out may make the trajectory depend on the pool size.
+  ckt::TwoStageOta problem;
+  Rng rng(3);
+  const auto init = sample_initial_set(problem, 20, rng);
+  std::vector<linalg::Vec> rows;
+  for (const auto& r : init) rows.push_back(r.metrics);
+  const auto fom = ckt::FomEvaluator::fit_reference(problem, rows);
+  MaOptConfig config = MaOptConfig::ma_opt();
+  config.critic.steps_per_round = 10;
+  config.actor.steps_per_round = 5;
+  config.near_sampling.num_samples = 300;
+  config.t_ns = 2;
+  std::vector<RunHistory> runs;
+  for (const std::size_t threads : {1, 2, 3, 8}) {
+    config.num_threads = threads;
+    runs.push_back(
+        MaOptimizer(config).run(problem, init, fom, {.seed = 4, .simulation_budget = 10}));
+  }
+  for (std::size_t k = 1; k < runs.size(); ++k) {
+    ASSERT_EQ(runs[k].records.size(), runs[0].records.size()) << "run " << k;
+    for (std::size_t i = 0; i < runs[0].records.size(); ++i) {
+      EXPECT_EQ(runs[k].records[i].x, runs[0].records[i].x) << "run " << k << " record " << i;
+      EXPECT_EQ(runs[k].records[i].fom, runs[0].records[i].fom) << "run " << k << " record " << i;
+    }
+    EXPECT_EQ(runs[k].best_fom_after, runs[0].best_fom_after) << "run " << k;
   }
 }
 

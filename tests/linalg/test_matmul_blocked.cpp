@@ -65,7 +65,7 @@ TEST(GemmVariants, TransposedKernelsMatchExplicitTranspose) {
     const Mat a = random_matrix(k, m, rng);
     const Mat b = random_matrix(k, n, rng);
     Mat c(m, n, 0.0);
-    gemm_tn(m, n, k, a.data().data(), b.data().data(), c.data().data());
+    gemm_tn(m, n, k, a.data().data(), m, b.data().data(), c.data().data());
     expect_close(c, matmul(a.transposed(), b), 1e-11);
   }
   // gemm_nt: C += A B^T with B stored (n x k).
@@ -76,6 +76,43 @@ TEST(GemmVariants, TransposedKernelsMatchExplicitTranspose) {
     Mat packed(k, n);
     gemm_nt(m, n, k, a.data().data(), b.data().data(), c.data().data(), packed.data().data());
     expect_close(c, matmul(a, b.transposed()), 1e-11);
+  }
+}
+
+TEST(GemmVariants, StridedGemmTnMatchesContiguousBitwise) {
+  // A column block of a wider A (lda > m) must give the same bits as the
+  // same columns copied into a contiguous (k x m) matrix, and even-aligned
+  // blocks must tile the full product exactly (the critic's dW row blocks).
+  Rng rng(7);
+  const std::size_t lda = 41, n = 23;
+  for (const std::size_t k : {std::size_t{1}, std::size_t{5}, std::size_t{64}, std::size_t{67}}) {
+    const Mat a = random_matrix(k, lda, rng);
+    const Mat b = random_matrix(k, n, rng);
+    const Mat c0 = random_matrix(lda, n, rng);
+    for (const std::size_t first : {std::size_t{0}, std::size_t{3}, std::size_t{10}}) {
+      for (const std::size_t m : {std::size_t{1}, std::size_t{2}, std::size_t{7}, lda - first}) {
+        Mat block(k, m);
+        for (std::size_t p = 0; p < k; ++p)
+          for (std::size_t i = 0; i < m; ++i) block(p, i) = a(p, first + i);
+        Mat contiguous(m, n), strided(m, n);
+        for (std::size_t i = 0; i < m; ++i)
+          for (std::size_t j = 0; j < n; ++j) contiguous(i, j) = strided(i, j) = c0(first + i, j);
+        gemm_tn(m, n, k, block.data().data(), m, b.data().data(), contiguous.data().data());
+        gemm_tn(m, n, k, a.data().data() + first, lda, b.data().data(), strided.data().data());
+        for (std::size_t e = 0; e < contiguous.data().size(); ++e)
+          ASSERT_EQ(contiguous.data()[e], strided.data()[e])
+              << "k=" << k << " first=" << first << " m=" << m << " entry " << e;
+      }
+    }
+    Mat full = c0, tiled = c0;
+    gemm_tn(lda, n, k, a.data().data(), lda, b.data().data(), full.data().data());
+    for (std::size_t first = 0; first < lda; first += 6) {
+      const std::size_t m = std::min<std::size_t>(6, lda - first);
+      gemm_tn(m, n, k, a.data().data() + first, lda, b.data().data(),
+              tiled.data().data() + first * n);
+    }
+    for (std::size_t e = 0; e < full.data().size(); ++e)
+      ASSERT_EQ(full.data()[e], tiled.data()[e]) << "k=" << k << " entry " << e;
   }
 }
 

@@ -242,8 +242,10 @@ TEST_F(JsonlFixture, CleanRunWritesTheDocumentedSchema) {
     EXPECT_EQ(sim.count(key), 1u) << key;
   for (const char* key :
        {"iteration", "simulations", "best_fom", "feasible_found", "near_sampling", "wall_seconds",
-        "spans"})
+        "critic_loss", "spans"})
     EXPECT_EQ(iter.count(key), 1u) << key;
+  // Random search trains no critic.
+  EXPECT_NE(lines[2].find("\"critic_loss\":null"), std::string::npos) << lines[2];
   for (const char* key :
        {"algorithm", "simulations", "best_fom", "feasible", "aborted", "wall_seconds", "counters"})
     EXPECT_EQ(finished.count(key), 1u) << key;

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <cmath>
 #include <memory>
 #include <thread>
 
@@ -112,6 +113,29 @@ TEST_F(RunApiFixture, EveryOptimizerEmitsTheFullEventProtocol) {
       prev_iter = it.iteration;
       EXPECT_GE(it.wall_seconds, 0.0);
     }
+  }
+}
+
+TEST_F(RunApiFixture, CriticLossReportedOnEveryTrainingIteration) {
+  for (const auto& opt : full_roster()) {
+    CountingObserver sink;
+    RunOptions options;
+    options.seed = 5;
+    options.simulation_budget = 20;
+    options.observer = &sink;
+    opt->run(problem, initial, *fom, options);
+    const bool trains_critic = opt->name() == "MA-Opt";
+    int training = 0;
+    for (const auto& it : sink.iterations) {
+      if (trains_critic && !it.near_sampling) {
+        ++training;
+        EXPECT_TRUE(std::isfinite(it.critic_loss)) << "iteration " << it.iteration;
+        EXPECT_GT(it.critic_loss, 0.0) << "iteration " << it.iteration;
+      } else {
+        EXPECT_TRUE(std::isnan(it.critic_loss)) << opt->name() << " iteration " << it.iteration;
+      }
+    }
+    if (trains_critic) EXPECT_GT(training, 0);
   }
 }
 

@@ -7,7 +7,10 @@ Checks, per run bracket (run_started .. run_finished):
   * simulation_completed count equals the run_finished "simulations" field
     and the counters agree with the events observed;
   * iteration numbers are strictly increasing;
-  * span phases are from the documented set and non-negative.
+  * span phases are from the documented set and non-negative;
+  * critic_loss is a finite number or null, and every MA-Opt training
+    iteration (not near-sampling, with actor-train spans on per-actor
+    lanes) carries a finite one.
 
 Checks, per sweep bracket (sweep_started .. sweep_completed, emitted by
 corner / Monte Carlo sweep problems — see "Robust & yield workloads"):
@@ -39,6 +42,7 @@ Exit code 0 = valid, 1 = violations found (printed to stderr).
 
 import argparse
 import json
+import math
 import sys
 
 EVENT_KINDS = {
@@ -70,7 +74,7 @@ REQUIRED_KEYS = {
     },
     "iteration_completed": {
         "iteration", "simulations", "best_fom", "feasible_found", "near_sampling",
-        "wall_seconds", "spans", "t",
+        "wall_seconds", "critic_loss", "spans", "t",
     },
     "checkpoint_written": {"path", "iteration", "simulations", "bytes", "t"},
     "run_finished": {
@@ -164,11 +168,23 @@ class Checker:
         if iteration <= self.last_iteration:
             self.error(lineno, f"iteration {iteration} not increasing")
         self.last_iteration = iteration
-        for span in event.get("spans", []):
+        spans = event.get("spans", [])
+        for span in spans:
             if span.get("phase") not in PHASES:
                 self.error(lineno, f"unknown span phase {span.get('phase')!r}")
             if span.get("seconds", 0) < 0:
                 self.error(lineno, "negative span seconds")
+        loss = event.get("critic_loss")
+        finite_loss = (isinstance(loss, (int, float)) and not isinstance(loss, bool)
+                       and math.isfinite(loss))
+        if loss is not None and not finite_loss:
+            self.error(lineno, f"critic_loss {loss!r} is neither a finite number nor null")
+        # Only MA-Opt trains actors on per-actor lanes; other optimizers
+        # report candidate selection on lane -1.
+        trains_actors = any(span.get("phase") == "actor-train" and span.get("lane", -1) >= 0
+                            for span in spans)
+        if trains_actors and not event.get("near_sampling") and not finite_loss:
+            self.error(lineno, "training iteration without a finite critic_loss")
 
     def on_checkpoint_written(self, lineno, event):
         if not self.in_run:
