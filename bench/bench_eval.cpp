@@ -179,7 +179,7 @@ int main(int argc, char** argv) {
 
     const auto batch_designs = make_designs(problem, designs_n, 23);
     const auto t0 = Clock::now();
-    service.evaluate_batch(batch_designs);
+    service.evaluate_batch(batch_designs, nullptr);
     const double batch_s = seconds_since(t0);
     const double batch_rate = static_cast<double>(designs_n) / batch_s;
 
@@ -387,7 +387,7 @@ int main(int argc, char** argv) {
       raw_config.num_threads = threads;
       eval::EvalService raw_service(ota, raw_config);  // fresh memory-only cache per round
       t0 = Clock::now();
-      raw_service.evaluate_batch(raw_designs);
+      raw_service.evaluate_batch(raw_designs, nullptr);
       batch_rate = std::max(batch_rate, static_cast<double>(raw_evals) / seconds_since(t0));
     }
     std::printf("raw simulator, %zu evals x %d rounds: point %.0f, session %.0f (%.2fx), "

@@ -14,7 +14,9 @@
 // the cached results of prior runs.
 #include <cmath>
 #include <cstdio>
+#include <iterator>
 #include <memory>
+#include <vector>
 
 #include "maopt.hpp"
 
@@ -80,11 +82,21 @@ int main(int argc, char** argv) {
   options.seed = seed;
   options.simulation_budget = sims;
   options.observer = &observer;
-  options.warm_start = warm_start;
 
   std::printf("%s, %zu simulations each, shared initial set of %zu\n\n",
               problem->spec().name.c_str(), sims, initial.size());
-  for (auto& opt : roster) opt->run(*eval_target, initial, fom, options);
+  for (auto& opt : roster) {
+    // Warm start: each run also starts from every result the journal holds
+    // by then, including the earlier runs of this roster.
+    std::vector<core::SimRecord> seeded = initial;
+    if (warm_start) {
+      std::vector<core::SimRecord> warm =
+          core::warm_start_records(stack->service(), initial, *eval_target, fom, 256);
+      seeded.insert(seeded.end(), std::make_move_iterator(warm.begin()),
+                    std::make_move_iterator(warm.end()));
+    }
+    opt->run(*eval_target, seeded, fom, options);
+  }
 
   std::printf("%s\n", report.table().c_str());
   if (stack != nullptr) {

@@ -100,9 +100,9 @@ int main(int argc, char** argv) {
   }
 
   std::printf("Robust optimization: %zu sweep evaluations x %zu corners, "
-              "policy %s, fault rate %.0f%%, %zu worker threads%s\n",
+              "policy %s, fault rate %.0f%%, %zu worker threads (batched)\n",
               sims, robust.num_corners(), ckt::to_string(failure_policy), fault_rate * 100.0,
-              threads, robust.batched() ? " (batched)" : "");
+              threads);
 
   Rng rng(seed);
   auto initial = core::sample_initial_set(robust, init, rng);

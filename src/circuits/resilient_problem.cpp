@@ -42,16 +42,6 @@ std::chrono::nanoseconds to_duration(double seconds) {
 
 }  // namespace
 
-const char* to_string(FailureKind kind) {
-  switch (kind) {
-    case FailureKind::Timeout: return "timeout";
-    case FailureKind::NonConvergence: return "non-convergence";
-    case FailureKind::NonFinite: return "non-finite";
-    case FailureKind::Exception: return "exception";
-  }
-  return "unknown";
-}
-
 std::string FailureStats::report() const {
   char buf[192];
   std::snprintf(buf, sizeof(buf),
@@ -161,13 +151,6 @@ ResilientEvaluator::Attempt ResilientEvaluator::run_attempt(const Vec& x, EvalSe
   return classify(std::move(result), error);
 }
 
-namespace {
-// Per-thread record of the most recent evaluate() (see last_call_stats()).
-thread_local ResilientEvaluator::CallStats tl_last_call;
-}  // namespace
-
-ResilientEvaluator::CallStats ResilientEvaluator::last_call_stats() { return tl_last_call; }
-
 EvalResult ResilientEvaluator::evaluate(const Vec& x) const {
   return evaluate_with(x, nullptr, ProcessVariation{});
 }
@@ -183,13 +166,14 @@ EvalResult ResilientEvaluator::evaluate_with(const Vec& x, EvalSession* session,
   const Vec& lo = lower_bounds();
   const Vec& hi = upper_bounds();
 
-  CallStats call;
+  std::uint32_t retries = 0;
+  FailureKind last_kind = FailureKind::NonConvergence;
   const int attempts_allowed = 1 + config_.max_retries;
   Vec attempt_x = x;
   for (int attempt = 0; attempt < attempts_allowed; ++attempt) {
     if (attempt > 0) {
       retries_.fetch_add(1, std::memory_order_relaxed);
-      ++call.retries;
+      ++retries;
       // Deterministic jittered restart: a tiny perturbation often steps a
       // solver off a singular Jacobian, like re-seeding the operating point.
       Rng jitter(derive_seed(config_.seed,
@@ -201,19 +185,16 @@ EvalResult ResilientEvaluator::evaluate_with(const Vec& x, EvalSession* session,
     }
     Attempt a = run_attempt(attempt_x, session, pv);
     if (a.ok) {
-      tl_last_call = call;
+      a.result.retries = retries;
       return std::move(a.result);
     }
-    call.last_kind = a.kind;
+    last_kind = a.kind;
     by_kind_[static_cast<std::size_t>(a.kind)].fetch_add(1, std::memory_order_relaxed);
   }
 
   failures_.fetch_add(1, std::memory_order_relaxed);
-  call.failed = true;
-  tl_last_call = call;
-  EvalResult fail;
-  fail.metrics = inner_->failure_metrics();
-  fail.simulation_ok = false;
+  EvalResult fail = failure_result(last_kind);
+  fail.retries = retries;
   return fail;
 }
 

@@ -33,17 +33,6 @@
 
 namespace maopt::ckt {
 
-/// Why an evaluation attempt failed (the tag recorded per attempt).
-enum class FailureKind : std::uint8_t {
-  Timeout = 0,         ///< attempt exceeded the wall-clock deadline
-  NonConvergence = 1,  ///< solver returned simulation_ok = false
-  NonFinite = 2,       ///< solver "succeeded" but produced NaN/Inf metrics
-  Exception = 3,       ///< solver threw
-};
-inline constexpr std::size_t kNumFailureKinds = 4;
-
-const char* to_string(FailureKind kind);
-
 struct ResilientConfig {
   /// Per-attempt wall-clock deadline in seconds; <= 0 disables the deadline
   /// (the attempt runs inline on the calling thread).
@@ -98,7 +87,9 @@ class ResilientEvaluator final : public SizingProblem {
   Vec failure_metrics() const override { return inner_->failure_metrics(); }
 
   /// Never throws from the inner solver and never returns non-finite
-  /// metrics: every failure mode yields {failure_metrics(), ok=false}.
+  /// metrics: every failure mode yields {failure_metrics(), ok=false} with
+  /// the last attempt's failure_kind. The result carries the retries the
+  /// call consumed.
   EvalResult evaluate(const Vec& x) const override;
 
   /// Variation-pinned evaluation with the full deadline/retry/scrub pipeline;
@@ -122,22 +113,6 @@ class ResilientEvaluator final : public SizingProblem {
 
   FailureStats stats() const;
   const ResilientConfig& config() const { return config_; }
-
-  /// Telemetry for one evaluate() call: retries it consumed and, when it
-  /// failed (or retried), the kind of the last failed attempt.
-  struct CallStats {
-    std::uint32_t retries = 0;
-    bool failed = false;  ///< every attempt failed; the caller got failure_metrics
-    FailureKind last_kind = FailureKind::NonConvergence;  ///< valid when failed or retries > 0
-  };
-
-  /// The CallStats of the most recent evaluate() on the *calling thread*
-  /// (thread-local, shared across ResilientEvaluator instances). Optimizers
-  /// read it right after the evaluation they just issued to attribute retry
-  /// counts and failure kinds to individual SimulationCompleted events —
-  /// exact even when actor workers evaluate concurrently, which a diff of
-  /// the global stats() could not be.
-  static CallStats last_call_stats();
 
  private:
   class Session;

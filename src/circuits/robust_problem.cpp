@@ -25,19 +25,6 @@ std::vector<SweepVariant> corner_variants(const RobustConfig& config) {
   return variants;
 }
 
-RobustConfig legacy_config(std::vector<ProcessCorner> corners, double vth_step,
-                           double kp_step_rel) {
-  RobustConfig config;
-  config.corners = std::move(corners);
-  config.vth_step = vth_step;
-  config.kp_step_rel = kp_step_rel;
-  // The original serial sweep reported worst-case metrics and failed the
-  // whole evaluation on any failed corner.
-  config.policy.aggregation = RobustAggregation::WorstCase;
-  config.policy.failure_policy = SweepFailurePolicy::FailFast;
-  return config;
-}
-
 std::vector<SweepVariant> mismatch_variants(const MismatchSettings& settings) {
   validate_mismatch_settings(settings);
   std::vector<SweepVariant> variants;
@@ -63,15 +50,6 @@ RobustProblem::RobustProblem(const SizingProblem& inner, RobustConfig config)
   MAOPT_CHECK(inner.supports_process_variation(),
               "RobustProblem: inner problem has no process-variation support");
 }
-
-RobustProblem::RobustProblem(const SizingProblem& inner, std::vector<ProcessCorner> corners,
-                             double vth_step, double kp_step_rel)
-    : RobustProblem(inner, legacy_config(std::move(corners), vth_step, kp_step_rel)) {}
-
-RobustProblem::RobustProblem(const SizingProblem& inner,
-                             std::initializer_list<ProcessCorner> corners, double vth_step,
-                             double kp_step_rel)
-    : RobustProblem(inner, std::vector<ProcessCorner>(corners), vth_step, kp_step_rel) {}
 
 void validate_mismatch_settings(const MismatchSettings& settings) {
   MAOPT_CHECK(settings.instances >= 1, "MismatchSettings: instances must be >= 1");

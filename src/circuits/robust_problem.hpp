@@ -23,7 +23,6 @@
 #pragma once
 
 #include <cstdint>
-#include <initializer_list>
 #include <vector>
 
 #include "circuits/process_variation.hpp"
@@ -49,15 +48,6 @@ class RobustProblem final : public VariationSweepProblem {
   /// The default config is the five classic corners with worst-case
   /// aggregation and the penalize-failed-variant partial-failure policy.
   explicit RobustProblem(const SizingProblem& inner, RobustConfig config = {});
-
-  /// Legacy corner-list constructors (worst-case aggregation, fail-fast on a
-  /// failed corner — the semantics of the original serial implementation).
-  /// The initializer_list overload exists so braced corner lists — including
-  /// the empty `{}` — keep selecting the legacy semantics.
-  RobustProblem(const SizingProblem& inner, std::initializer_list<ProcessCorner> corners,
-                double vth_step = 0.03, double kp_step_rel = 0.10);
-  RobustProblem(const SizingProblem& inner, std::vector<ProcessCorner> corners,
-                double vth_step = 0.03, double kp_step_rel = 0.10);
 
   std::size_t num_corners() const { return num_variants(); }
   const RobustConfig& config() const { return config_; }

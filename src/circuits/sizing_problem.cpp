@@ -4,6 +4,8 @@
 #include <cmath>
 
 #include "common/check.hpp"
+#include "common/log.hpp"
+#include "common/thread_pool.hpp"
 
 namespace maopt::ckt {
 
@@ -31,7 +33,32 @@ class VariedForwardingSession final : public EvalSession {
   ProcessVariation pv_;
 };
 
+/// One evaluation that never throws: a throw becomes an Exception failure,
+/// and a result no cache produced is stamped with the call's wall time.
+template <class Evaluate>
+EvalResult evaluate_item(const SizingProblem& problem, Evaluate&& evaluate) {
+  const Stopwatch timer;
+  EvalResult result;
+  try {
+    result = evaluate();
+  } catch (...) {
+    result = problem.failure_result(FailureKind::Exception);
+  }
+  if (result.cache == CacheOutcome::Uncached) result.seconds = timer.elapsed_seconds();
+  return result;
+}
+
 }  // namespace
+
+const char* to_string(FailureKind kind) {
+  switch (kind) {
+    case FailureKind::Timeout: return "timeout";
+    case FailureKind::NonConvergence: return "non-convergence";
+    case FailureKind::NonFinite: return "non-finite";
+    case FailureKind::Exception: return "exception";
+  }
+  return "unknown";
+}
 
 void validate_process_variation(const ProcessVariation& pv) {
   MAOPT_CHECK(std::isfinite(pv.sigma_vth) && pv.sigma_vth >= 0.0,
@@ -55,6 +82,28 @@ EvalResult SizingProblem::evaluate_at(const Vec& x, const ProcessVariation& pv) 
   MAOPT_CHECK(!pv.enabled() || supports_process_variation(),
               "evaluate_at: enabled variation on a problem without variation support");
   return evaluate(x);
+}
+
+std::vector<EvalResult> SizingProblem::evaluate_batch(std::span<const Vec> xs,
+                                                      ThreadPool* pool) const {
+  std::vector<EvalResult> results(xs.size());
+  const auto run_one = [&](std::size_t i) {
+    results[i] = evaluate_item(*this, [&] { return evaluate(xs[i]); });
+  };
+  if (pool != nullptr) {
+    pool->parallel_for(xs.size(), run_one);
+  } else {
+    for (std::size_t i = 0; i < xs.size(); ++i) run_one(i);
+  }
+  return results;
+}
+
+std::vector<EvalResult> SizingProblem::evaluate_variants(
+    const Vec& x, std::span<const ProcessVariation> pvs) const {
+  std::vector<EvalResult> results(pvs.size());
+  for (std::size_t i = 0; i < pvs.size(); ++i)
+    results[i] = evaluate_item(*this, [&] { return evaluate_at(x, pvs[i]); });
+  return results;
 }
 
 std::unique_ptr<EvalSession> SizingProblem::make_session_at(const ProcessVariation& pv) const {
@@ -82,6 +131,12 @@ Vec SizingProblem::failure_metrics() const {
     f[i + 1] = cs[i].kind == ConstraintKind::GreaterEqual ? cs[i].bound - off : cs[i].bound + off;
   }
   return f;
+}
+
+EvalResult SizingProblem::failure_result(FailureKind kind) const {
+  EvalResult result{failure_metrics(), /*simulation_ok=*/false};
+  result.failure_kind = kind;
+  return result;
 }
 
 Vec SizingProblem::clip(Vec x) const {

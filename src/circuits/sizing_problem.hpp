@@ -4,12 +4,19 @@
 // minimize and f1..fm are constrained.
 #pragma once
 
+#include <cstdint>
 #include <memory>
+#include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
 #include "common/rng.hpp"
 #include "linalg/matrix.hpp"
+
+namespace maopt {
+class ThreadPool;
+}
 
 namespace maopt::ckt {
 
@@ -63,18 +70,51 @@ struct ProblemSpec {
   std::vector<ConstraintSpec> constraints;
 };
 
+/// Why an evaluation failed (the tag ResilientEvaluator records per attempt).
+enum class FailureKind : std::uint8_t {
+  Timeout = 0,         ///< attempt exceeded the wall-clock deadline
+  NonConvergence = 1,  ///< solver returned simulation_ok = false
+  NonFinite = 2,       ///< solver "succeeded" but produced NaN/Inf metrics
+  Exception = 3,       ///< solver threw
+};
+inline constexpr std::size_t kNumFailureKinds = 4;
+
+const char* to_string(FailureKind kind);
+
+/// Where a result came from relative to an eval::EvalService result cache.
+enum class CacheOutcome : std::uint8_t {
+  Uncached = 0,   ///< no result cache on the evaluation path
+  Miss = 1,       ///< simulated for this request
+  Hit = 2,        ///< served from the cache
+  Coalesced = 3,  ///< shared a concurrent request's simulation
+};
+
 /// Result of one simulation: metrics[0] = f0, metrics[1..m] = constraints.
 /// The variant fields carry robustness provenance when the result is an
 /// aggregate over a corner / Monte Carlo sweep (variation_sweep.hpp):
 /// `variants_total` = 0 marks a plain single-point evaluation; `degraded`
 /// marks an aggregate whose metrics were shaped by a partial-failure policy
 /// (some variants failed but the sweep still produced a usable bound).
+///
+/// The last four fields say how the result was produced. Each layer stamps
+/// what only it knows — ResilientEvaluator the retries and failure kind,
+/// EvalService the cache outcome and its simulation time — and every other
+/// layer passes them through, so they reach the optimizer through any stack
+/// of decorators.
 struct EvalResult {
   Vec metrics;
   bool simulation_ok = true;
   bool degraded = false;              ///< partial-failure policy shaped the metrics
   std::uint32_t variants_failed = 0;  ///< failed or breaker-skipped variants
   std::uint32_t variants_total = 0;   ///< sweep width; 0 = single-point result
+
+  std::uint32_t retries = 0;  ///< resilient-layer attempts beyond the first
+  /// Cause of a failed result, when a layer knows it.
+  std::optional<FailureKind> failure_kind = std::nullopt;
+  CacheOutcome cache = CacheOutcome::Uncached;
+  /// Wall time of the simulation that produced the result; 0 when none ran
+  /// for this request (cache hit or coalesced).
+  double seconds = 0.0;
 };
 
 /// Reusable single-threaded evaluator for one problem. Circuit problems back
@@ -121,6 +161,20 @@ class SizingProblem {
   /// circuits and decorators override.
   virtual EvalResult evaluate_at(const Vec& x, const ProcessVariation& pv) const;
 
+  /// Evaluates every design of `xs`, positionally. Never throws for a single
+  /// item: a throwing item becomes failure_result(FailureKind::Exception).
+  /// The default runs evaluate() per item over `pool` (serially when null)
+  /// and stamps `seconds` on uncached results; eval::EvalService overrides
+  /// it with its own pool and one admission grant per batch.
+  virtual std::vector<EvalResult> evaluate_batch(std::span<const Vec> xs, ThreadPool* pool) const;
+
+  /// Evaluates design x under every variation of `pvs`, positionally, with
+  /// the same never-throw-per-item rule as evaluate_batch. The default is a
+  /// serial evaluate_at loop; eval::EvalService overrides it with its pool
+  /// and per-variant cache keys.
+  virtual std::vector<EvalResult> evaluate_variants(const Vec& x,
+                                                    std::span<const ProcessVariation> pvs) const;
+
   /// Session pinned to one variation setting (the per-worker analog of
   /// evaluate_at). Default: contract-checks pv like evaluate_at and returns a
   /// session forwarding every call to evaluate_at(x, pv).
@@ -136,6 +190,9 @@ class SizingProblem {
   virtual Vec failure_metrics() const;
 
   std::size_t num_metrics() const { return 1 + spec().constraints.size(); }
+
+  /// {failure_metrics(), simulation_ok = false} tagged with `kind`.
+  EvalResult failure_result(FailureKind kind) const;
 
   /// Process-variation hooks: circuits that support Monte Carlo mismatch
   /// override these; analytic problems ignore them.

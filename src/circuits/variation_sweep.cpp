@@ -79,7 +79,6 @@ VariationSweepProblem::VariationSweepProblem(const SizingProblem& inner,
                                              std::vector<SweepVariant> variants,
                                              SweepPolicyConfig policy, std::string kind)
     : inner_(&inner),
-      backend_(dynamic_cast<const SweepBackend*>(&inner)),
       variants_(std::move(variants)),
       policy_(policy),
       kind_(std::move(kind)) {
@@ -166,38 +165,22 @@ EvalResult VariationSweepProblem::evaluate(const Vec& x) const {
     }
   }
 
-  // Evaluate the non-skipped variants: one batch through the backend when
-  // available, else serially through the thread-safe evaluate_at primitive.
-  std::vector<EvalResult> results(n);
-  std::vector<double> seconds(n, 0.0);
-  if (backend_ != nullptr) {
-    std::vector<ProcessVariation> pvs;
-    std::vector<std::size_t> index;
-    pvs.reserve(n);
-    index.reserve(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      if (skip[i]) continue;
-      pvs.push_back(variants_[i].pv);
-      index.push_back(i);
-    }
-    std::vector<EvalResult> batch = backend_->evaluate_variants(x, pvs);
-    MAOPT_CHECK(batch.size() == pvs.size(),
-                "VariationSweepProblem: backend returned a mis-sized batch");
-    for (std::size_t k = 0; k < index.size(); ++k) results[index[k]] = std::move(batch[k]);
-  } else {
-    for (std::size_t i = 0; i < n; ++i) {
-      if (skip[i]) continue;
-      const Stopwatch timer;
-      try {
-        results[i] = inner_->evaluate_at(x, variants_[i].pv);
-      } catch (...) {
-        // Partial failure is the expected case: a throwing variant becomes a
-        // failed variant, never a lost sweep.
-        results[i].simulation_ok = false;
-      }
-      seconds[i] = timer.elapsed_seconds();
-    }
+  // Evaluate the non-skipped variants in one call: batched when the inner
+  // problem is an eval::EvalService, serial through evaluate_at otherwise.
+  std::vector<ProcessVariation> pvs;
+  std::vector<std::size_t> index;
+  pvs.reserve(n);
+  index.reserve(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    if (skip[i]) continue;
+    pvs.push_back(variants_[i].pv);
+    index.push_back(i);
   }
+  std::vector<EvalResult> batch = inner_->evaluate_variants(x, pvs);
+  MAOPT_CHECK(batch.size() == pvs.size(),
+              "VariationSweepProblem: evaluate_variants returned a mis-sized batch");
+  std::vector<EvalResult> results(n);
+  for (std::size_t k = 0; k < index.size(); ++k) results[index[k]] = std::move(batch[k]);
 
   // Classify, then update breaker state from this sweep's attempts.
   const std::size_t m = num_metrics();
@@ -284,7 +267,7 @@ EvalResult VariationSweepProblem::evaluate(const Vec& x) const {
       ev.ok = usable[i];
       ev.skipped = skip[i];
       ev.fom0 = usable[i] ? results[i].metrics[0] : 0.0;
-      ev.seconds = seconds[i];
+      ev.seconds = results[i].seconds;
       observer_->on_sweep_variant_evaluated(ev);
     }
     obs::SweepCompleted done;

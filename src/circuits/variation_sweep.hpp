@@ -9,11 +9,11 @@
 // evaluate_at(x, pv) primitive, and adds the three things population-scale
 // robustness workloads need:
 //
-//   * Batched execution. When the wrapped problem implements SweepBackend
-//     (eval::EvalService does), all variants of one sweep are fanned over the
-//     backend's worker pool in a single batch — with per-variant cache keys,
-//     so a corner result computed once is never re-simulated. Otherwise the
-//     sweep runs serially through evaluate_at.
+//   * Batched execution. All variants of one sweep go to the wrapped
+//     problem's evaluate_variants() in one call. eval::EvalService fans them
+//     over its worker pool with per-variant cache keys, so a corner result
+//     computed once is never re-simulated; any other problem runs them
+//     serially through evaluate_at.
 //   * Variance-aware aggregation: worst-case across variants (robust corner
 //     optimization), mean + k·sigma (design centering), or an empirical
 //     yield quantile (the value a target fraction of instances achieves).
@@ -39,7 +39,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <span>
 #include <string>
 #include <vector>
 
@@ -131,20 +130,6 @@ struct SweepStats {
   std::string report() const;
 };
 
-/// Batched sweep execution, implemented by eval::EvalService: evaluates one
-/// design under every variation in `pvs`, positionally, fanning the variants
-/// over the implementation's worker pool. A variant whose simulation throws
-/// must be reported as a failed EvalResult (simulation_ok = false), never by
-/// propagating the exception — partial failure is the expected case.
-/// Defined here (not in eval/) so the circuits layer can depend on it
-/// without a library cycle.
-class SweepBackend {
- public:
-  virtual ~SweepBackend() = default;
-  virtual std::vector<EvalResult> evaluate_variants(
-      const Vec& x, std::span<const ProcessVariation> pvs) const = 0;
-};
-
 class VariationSweepProblem : public SizingProblem {
  public:
   /// Wraps `inner` (not owned; must outlive this object). `kind` labels the
@@ -153,8 +138,6 @@ class VariationSweepProblem : public SizingProblem {
   /// variant's variation is enabled, and valid policy parameters (k_sigma
   /// finite, yield_target in (0,1], min_ok_fraction in [0,1], breaker
   /// cooldown >= 1 when enabled); throws std::invalid_argument otherwise.
-  /// When `inner` implements SweepBackend (eval::EvalService), sweeps run
-  /// batched through it; otherwise serially via inner->evaluate_at.
   VariationSweepProblem(const SizingProblem& inner, std::vector<SweepVariant> variants,
                         SweepPolicyConfig policy, std::string kind);
 
@@ -187,8 +170,6 @@ class VariationSweepProblem : public SizingProblem {
   const std::vector<SweepVariant>& variants() const { return variants_; }
   const SweepPolicyConfig& policy() const { return policy_; }
   const SizingProblem& inner() const { return *inner_; }
-  /// True when sweeps are batched through a SweepBackend.
-  bool batched() const { return backend_ != nullptr; }
 
  private:
   struct BreakerState {
@@ -201,7 +182,6 @@ class VariationSweepProblem : public SizingProblem {
   Vec aggregate(const std::vector<const Vec*>& contributing) const;
 
   const SizingProblem* inner_;
-  const SweepBackend* backend_;  ///< inner_ when it batches; else null
   std::vector<SweepVariant> variants_;
   SweepPolicyConfig policy_;
   std::string kind_;

@@ -1,6 +1,8 @@
 #include "core/history.hpp"
 
 #include <cmath>
+#include <span>
+#include <utility>
 
 namespace maopt::core {
 
@@ -33,13 +35,9 @@ std::vector<SimRecord> sample_initial_set(const SizingProblem& problem, std::siz
   std::vector<SimRecord> records;
   records.reserve(n);
   for (std::size_t i = 0; i < n; ++i) {
-    SimRecord r;
-    r.x = problem.random_design(rng);
-    const ckt::EvalResult eval = problem.evaluate(r.x);
-    r.metrics = eval.metrics;
-    r.simulation_ok = eval.simulation_ok;
-    copy_provenance(r, eval);
-    records.push_back(std::move(r));
+    Vec x = problem.random_design(rng);
+    ckt::EvalResult eval = problem.evaluate(x);
+    records.push_back(to_record(std::move(x), std::move(eval)));
   }
   return records;
 }
@@ -65,21 +63,26 @@ std::vector<SimRecord> sample_initial_set_lhs(const SizingProblem& problem, std:
                        static_cast<double>(n);
       x[j] = lo[j] + u * (hi[j] - lo[j]);
     }
-    SimRecord r;
-    r.x = problem.clip(std::move(x));
-    const ckt::EvalResult eval = problem.evaluate(r.x);
-    r.metrics = eval.metrics;
-    r.simulation_ok = eval.simulation_ok;
-    copy_provenance(r, eval);
-    records.push_back(std::move(r));
+    x = problem.clip(std::move(x));
+    ckt::EvalResult eval = problem.evaluate(x);
+    records.push_back(to_record(std::move(x), std::move(eval)));
   }
   return records;
 }
 
-void copy_provenance(SimRecord& record, const ckt::EvalResult& eval) {
+SimRecord to_record(Vec x, ckt::EvalResult eval) {
+  SimRecord record;
+  record.x = std::move(x);
+  record.metrics = std::move(eval.metrics);
+  record.simulation_ok = eval.simulation_ok;
   record.degraded = eval.degraded;
   record.variants_failed = eval.variants_failed;
   record.variants_total = eval.variants_total;
+  record.retries = eval.retries;
+  record.failure_kind = eval.failure_kind;
+  record.cache = eval.cache;
+  record.seconds = eval.seconds;
+  return record;
 }
 
 bool annotate_record(SimRecord& record, const SizingProblem& problem, const FomEvaluator& fom) {
@@ -107,18 +110,8 @@ void annotate_foms(std::vector<SimRecord>& records, const SizingProblem& problem
 }
 
 SimRecord evaluate_record(const SizingProblem& problem, Vec x) {
-  SimRecord rec;
-  try {
-    ckt::EvalResult eval = problem.evaluate(x);
-    rec.metrics = std::move(eval.metrics);
-    rec.simulation_ok = eval.simulation_ok;
-    copy_provenance(rec, eval);
-  } catch (...) {
-    rec.metrics = problem.failure_metrics();
-    rec.simulation_ok = false;
-  }
-  rec.x = std::move(x);
-  return rec;
+  std::vector<ckt::EvalResult> eval = problem.evaluate_batch(std::span<const Vec>(&x, 1), nullptr);
+  return to_record(std::move(x), std::move(eval.front()));
 }
 
 }  // namespace maopt::core

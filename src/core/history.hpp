@@ -33,6 +33,13 @@ struct SimRecord {
   bool degraded = false;
   std::uint32_t variants_failed = 0;
   std::uint32_t variants_total = 0;
+  /// How the simulation was produced, copied from EvalResult (retries,
+  /// failure kind, cache outcome, seconds). Telemetry reads it as the record
+  /// is appended; checkpoints do not persist it.
+  std::uint32_t retries = 0;
+  std::optional<ckt::FailureKind> failure_kind;
+  ckt::CacheOutcome cache = ckt::CacheOutcome::Uncached;
+  double seconds = 0.0;
 };
 
 struct RunHistory {
@@ -72,12 +79,9 @@ std::vector<SimRecord> sample_initial_set(const SizingProblem& problem, std::siz
 std::vector<SimRecord> sample_initial_set_lhs(const SizingProblem& problem, std::size_t n,
                                               Rng& rng);
 
-/// Copies the sweep provenance fields (degraded / variants_failed /
-/// variants_total) from an evaluation result into a record. Kept out of
-/// annotate_record so every record-construction site — serial, pooled, and
-/// the service batch path — applies it uniformly right where the EvalResult
-/// is consumed.
-void copy_provenance(SimRecord& record, const ckt::EvalResult& eval);
+/// The record of design `x` evaluated to `eval`: metrics, status and every
+/// provenance field (fom / feasible are left for annotate_record).
+SimRecord to_record(Vec x, ckt::EvalResult eval);
 
 /// Fills fom / feasible for one record, scrubbing failures: when the
 /// simulation failed or produced non-finite metrics or a non-finite FoM, the
@@ -92,10 +96,9 @@ bool annotate_record(SimRecord& record, const SizingProblem& problem, const FomE
 void annotate_foms(std::vector<SimRecord>& records, const SizingProblem& problem,
                    const FomEvaluator& fom);
 
-/// Evaluates `x`, capturing solver exceptions: a throw from
-/// SizingProblem::evaluate becomes a {failure_metrics, simulation_ok=false}
-/// record instead of propagating (fom / feasible are left for
-/// annotate_record). Safe to call from parallel_for workers.
+/// Evaluates `x` as a one-item SizingProblem::evaluate_batch, so a solver
+/// exception becomes a {failure_metrics, simulation_ok=false} record instead
+/// of propagating (fom / feasible are left for annotate_record).
 SimRecord evaluate_record(const SizingProblem& problem, Vec x);
 
 }  // namespace maopt::core

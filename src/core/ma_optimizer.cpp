@@ -1,16 +1,14 @@
 #include "core/ma_optimizer.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
 #include <deque>
 #include <limits>
+#include <span>
 
-#include "circuits/resilient_problem.hpp"
 #include "common/check.hpp"
 #include "common/log.hpp"
 #include "common/thread_pool.hpp"
-#include "eval/eval_service.hpp"
 
 namespace maopt::core {
 
@@ -162,36 +160,15 @@ RunHistory MaOptimizer::run_impl(const SizingProblem& problem, std::vector<SimRe
 
   std::size_t replay_pos = 0;
   const std::size_t replay_count = replay.size();
-  std::atomic<bool> replay_diverged{false};
+  bool replay_diverged = false;
   const bool checkpointing = config_.checkpoint_every > 0 && !config_.checkpoint_path.empty();
 
   // Telemetry plumbing: spans collected per iteration (actor workers report
-  // into their own lanes), per-simulation retry/failure detail probed from a
-  // ResilientEvaluator when the problem is one. With no observer every emit
-  // below is a single branch on null.
+  // into their own lanes); each record's provenance fields say how its
+  // simulation was produced. With no observer every emit below is a single
+  // branch on null.
   obs::SpanCollector spans(telemetry.enabled());
-  const auto* resilient = dynamic_cast<const ckt::ResilientEvaluator*>(&problem);
-  // When the problem is an EvalService, per-iteration proposals are routed
-  // through evaluate_batch (one batch per iteration) and the per-request
-  // EvalOutcome supplies cache/coalesce telemetry.
-  const auto* service = dynamic_cast<const eval::EvalService*>(&problem);
   int current_iter = 0;
-
-  struct SimMeta {
-    int lane = -1;
-    double seconds = 0.0;
-    ckt::ResilientEvaluator::CallStats call;
-    bool cache_hit = false;
-    bool coalesced = false;
-    bool via_service = false;  ///< evaluated through the EvalService this run
-  };
-
-  auto meta_from_outcome = [](SimMeta& meta, const eval::EvalOutcome& outcome) {
-    meta.call = outcome.call;
-    meta.cache_hit = outcome.cache_hit;
-    meta.coalesced = outcome.coalesced;
-    meta.via_service = true;
-  };
 
   auto emit_checkpoint = [&](std::uint64_t bytes, int iteration) {
     ++telemetry.counters().checkpoints;
@@ -206,7 +183,7 @@ RunHistory MaOptimizer::run_impl(const SizingProblem& problem, std::vector<SimRe
     }
   };
 
-  auto append_record = [&](SimRecord rec, std::ptrdiff_t actor_set, const SimMeta& meta) {
+  auto append_record = [&](SimRecord rec, std::ptrdiff_t actor_set, int lane) {
     const bool ok = annotate_record(rec, problem, fom);
     specs_met = specs_met || rec.feasible;
     if (ok) {
@@ -231,29 +208,8 @@ RunHistory MaOptimizer::run_impl(const SizingProblem& problem, std::vector<SimRe
     // Failed records never improve the trajectory: their penalty FoM is
     // budget bookkeeping, not a design the run could return.
     history.best_fom_after.push_back(running_best);
-    if (telemetry.enabled()) {
-      const SimRecord& stored = history.records.back();
-      obs::SimulationCompleted event;
-      event.index = sims;
-      event.iteration = static_cast<std::uint64_t>(current_iter);
-      event.lane = meta.lane;
-      event.ok = stored.simulation_ok;
-      event.feasible = stored.feasible;
-      event.fom = stored.fom;
-      event.seconds = meta.seconds;
-      event.retries = meta.call.retries;
-      event.cache_hit = meta.cache_hit;
-      event.coalesced = meta.coalesced;
-      if (!stored.simulation_ok && meta.call.failed)
-        event.failure_kind = ckt::to_string(meta.call.last_kind);
-      telemetry.emit(event);
-    }
-    telemetry.counters().retries += meta.call.retries;
-    if (meta.via_service) {
-      obs::RunCounters& counters = telemetry.counters();
-      ++(meta.cache_hit ? counters.cache_hits : counters.cache_misses);
-      if (meta.coalesced) ++counters.cache_coalesced;
-    }
+    emit_simulation(telemetry, history.records.back(), sims,
+                    static_cast<std::uint64_t>(current_iter), lane);
     ++sims;
   };
 
@@ -305,26 +261,17 @@ RunHistory MaOptimizer::run_impl(const SizingProblem& problem, std::vector<SimRe
       if (!replaying) history.ns_seconds += ns_clock.elapsed_seconds();
 
       SimRecord rec;
-      SimMeta meta;
       if (replaying) {
         rec = std::move(replay[replay_pos++]);
-        if (rec.x != candidate) replay_diverged.store(true, std::memory_order_relaxed);
+        replay_diverged = replay_diverged || rec.x != candidate;
       } else {
-        Stopwatch sim_clock;
         {
           const obs::ScopedSpan sim_span(spans, obs::Phase::Simulate);
           rec = evaluate_record(problem, candidate);
         }
-        const double sim_s = sim_clock.elapsed_seconds();
-        history.sim_seconds += sim_s;
-        meta.seconds = sim_s;
-        if (service != nullptr) {
-          meta_from_outcome(meta, eval::EvalService::last_outcome());
-        } else if (resilient != nullptr) {
-          meta.call = ckt::ResilientEvaluator::last_call_stats();
-        }
+        history.sim_seconds += rec.seconds;
       }
-      append_record(std::move(rec), /*actor_set=*/-1, meta);
+      append_record(std::move(rec), /*actor_set=*/-1, /*lane=*/-1);
       ++telemetry.counters().ns_iterations;
     } else {
       // --- Algorithm 1: critic training, then parallel actor rounds ---
@@ -340,15 +287,11 @@ RunHistory MaOptimizer::run_impl(const SizingProblem& problem, std::vector<SimRe
       critic_trained = true;
       if (!replaying) history.train_seconds += train_clock.elapsed_seconds();
 
+      // The actors only propose; the proposals are simulated below as one
+      // batch.
       const std::size_t workers = std::min(n_act, simulation_budget - sims);
-      std::vector<SimRecord> results(workers);
-      std::vector<double> worker_train_s(workers, 0.0), worker_sim_s(workers, 0.0);
-      std::vector<SimMeta> worker_meta(workers);
-      // Batched path: workers only *propose*; the proposals are evaluated
-      // below as one evaluate_batch call (in-batch duplicates coalesce).
-      std::vector<Vec> pending(workers);
-      std::vector<unsigned char> needs_sim(workers, 0);
-
+      std::vector<Vec> proposals(workers);
+      std::vector<double> worker_train_s(workers, 0.0);
       pool.parallel_for(workers, [&](std::size_t i) {
         Rng rng(derive_seed(seed, 0x1000 + static_cast<std::uint64_t>(t) * 64 + i));
         EliteSet& elite = config_.shared_elite_set ? elites[0] : elites[i];
@@ -367,84 +310,34 @@ RunHistory MaOptimizer::run_impl(const SizingProblem& problem, std::vector<SimRe
             actors[i].select_candidate_unit(local_critic, fom, elite.snapshot(), scaler);
         worker_train_s[i] = tclock.elapsed_seconds();
         train_span.stop();
-        worker_meta[i].lane = static_cast<int>(i);
 
         Vec candidate(d);
         for (std::size_t c = 0; c < d; ++c) candidate[c] = std::clamp(proposal_unit[c], -1.0, 1.0);
-        candidate = problem.clip(scaler.from_unit(candidate));
-
-        if (replay_pos + i < replay_count) {
-          results[i] = replay[replay_pos + i];
-          if (results[i].x != candidate) replay_diverged.store(true, std::memory_order_relaxed);
-        } else if (service != nullptr) {
-          pending[i] = std::move(candidate);
-          needs_sim[i] = 1;
-        } else {
-          ThreadCpuTimer sclock;
-          Stopwatch sim_wall;
-          {
-            const obs::ScopedSpan sim_span(spans, obs::Phase::Simulate, static_cast<int>(i));
-            results[i] = evaluate_record(problem, std::move(candidate));
-          }
-          worker_sim_s[i] = sclock.elapsed_seconds();
-          worker_meta[i].seconds = sim_wall.elapsed_seconds();
-          if (resilient != nullptr)
-            worker_meta[i].call = ckt::ResilientEvaluator::last_call_stats();
-        }
+        proposals[i] = problem.clip(scaler.from_unit(candidate));
       });
 
-      if (service != nullptr) {
-        // One batch per iteration: the N_act proposals fan over the service
-        // pool, sharing the cache and coalescing duplicates.
-        std::vector<Vec> batch;
-        std::vector<std::size_t> owner;
-        for (std::size_t i = 0; i < workers; ++i) {
-          if (needs_sim[i] == 0) continue;
-          batch.push_back(std::move(pending[i]));
-          owner.push_back(i);
-        }
-        if (!batch.empty()) {
-          std::vector<eval::EvalOutcome> outcomes;
-          std::vector<ckt::EvalResult> batch_results;
-          bool batch_ok = true;
-          try {
-            batch_results = service->evaluate_batch(batch, &outcomes);
-          } catch (...) {
-            batch_ok = false;  // fall back to per-item exception capture below
-          }
-          for (std::size_t k = 0; k < owner.size(); ++k) {
-            const std::size_t i = owner[k];
-            eval::EvalOutcome outcome;
-            if (batch_ok) {
-              results[i].x = std::move(batch[k]);
-              results[i].metrics = std::move(batch_results[k].metrics);
-              results[i].simulation_ok = batch_results[k].simulation_ok;
-              copy_provenance(results[i], batch_results[k]);
-              outcome = outcomes[k];
-            } else {
-              results[i] = evaluate_record(problem, std::move(batch[k]));
-              outcome = eval::EvalService::last_outcome();
-            }
-            worker_sim_s[i] = outcome.seconds;
-            worker_meta[i].seconds = outcome.seconds;
-            meta_from_outcome(worker_meta[i], outcome);
-            // Not a ScopedSpan: the duration was measured inside the service
-            // worker; a call-site span would time result bookkeeping instead.
-            spans.add(obs::Phase::Simulate, static_cast<int>(i), outcome.seconds);  // maopt-lint: allow(observer-bracketing)
-          }
-        }
-      }
-
+      // A resume replays the checkpointed simulations of the first
+      // `replayed` proposals; the rest are one evaluate_batch over the pool
+      // (an EvalService uses its own pool and coalesces duplicates).
+      const std::size_t replayed = std::min(workers, replay_count - replay_pos);
+      std::vector<ckt::EvalResult> evals = problem.evaluate_batch(
+          std::span<const Vec>(proposals).subspan(replayed), &pool);
       for (std::size_t i = 0; i < workers; ++i) {
-        if (replay_pos + i >= replay_count) {
+        SimRecord rec;
+        if (i < replayed) {
+          rec = std::move(replay[replay_pos + i]);
+          replay_diverged = replay_diverged || rec.x != proposals[i];
+        } else {
+          rec = to_record(std::move(proposals[i]), std::move(evals[i - replayed]));
           history.train_seconds += worker_train_s[i];
-          history.sim_seconds += worker_sim_s[i];
+          history.sim_seconds += rec.seconds;
+          // Not a ScopedSpan: the simulation may have run on another pool.
+          spans.add(obs::Phase::Simulate, static_cast<int>(i), rec.seconds);  // maopt-lint: allow(observer-bracketing)
         }
-        append_record(std::move(results[i]),
-                      config_.shared_elite_set ? 0 : static_cast<std::ptrdiff_t>(i),
-                      worker_meta[i]);
+        append_record(std::move(rec), config_.shared_elite_set ? 0 : static_cast<std::ptrdiff_t>(i),
+                      static_cast<int>(i));
       }
-      replay_pos += std::min(workers, replay_count - replay_pos);
+      replay_pos += replayed;
     }
 
     ++telemetry.counters().iterations;
@@ -467,7 +360,7 @@ RunHistory MaOptimizer::run_impl(const SizingProblem& problem, std::vector<SimRe
       emit_checkpoint(save_checkpoint(config_.checkpoint_path, history, seed), t);
   }
 
-  if (replay_diverged.load(std::memory_order_relaxed))
+  if (replay_diverged)
     log_warn() << config_.name
                << ": resume replay diverged from the checkpointed trajectory (different "
                   "problem/config/budget?); the recorded simulations were kept";

@@ -7,9 +7,10 @@
 //
 // Per iteration (Algorithm 1): the critic is trained on pseudo-samples of
 // the total design set, then each actor — concurrently on its own thread,
-// with a private critic copy — trains against the critic (Eq. 5), picks the
-// elite state whose proposed move has the lowest predicted FoM, and
-// simulates the proposal. Once specs are met, every T_NS-th iteration runs
+// with a private critic copy — trains against the critic (Eq. 5) and picks
+// the elite state whose proposed move has the lowest predicted FoM; the N_act
+// proposals are then simulated together through one
+// SizingProblem::evaluate_batch. Once specs are met, every T_NS-th iteration runs
 // the near-sampling method instead (Algorithm 3), costing one simulation
 // and no actor training.
 #pragma once

@@ -6,7 +6,6 @@
 #include <unordered_set>
 #include <utility>
 
-#include "circuits/resilient_problem.hpp"
 #include "eval/eval_service.hpp"
 
 namespace maopt::core {
@@ -14,41 +13,29 @@ namespace maopt::core {
 RunHistory Optimizer::run(const SizingProblem& problem, const std::vector<SimRecord>& initial,
                           const FomEvaluator& fom, const RunOptions& options) {
   obs::RunTelemetry telemetry(options.observer);
-  const std::vector<SimRecord>* initial_set = &initial;
-  std::vector<SimRecord> seeded;
-  if (options.warm_start) {
-    std::vector<SimRecord> warm = warm_start_records(problem, initial, fom, options);
-    if (!warm.empty()) {
-      seeded = initial;
-      seeded.insert(seeded.end(), std::make_move_iterator(warm.begin()),
-                    std::make_move_iterator(warm.end()));
-      initial_set = &seeded;
-    }
-  }
-  emit_run_started(telemetry, name(), problem, initial_set->size(), options);
-  RunHistory history = do_run(problem, *initial_set, fom, options, telemetry);
+  emit_run_started(telemetry, name(), problem, initial.size(), options);
+  RunHistory history = do_run(problem, initial, fom, options, telemetry);
   emit_run_finished(telemetry, history);
   return history;
 }
 
-std::vector<SimRecord> Optimizer::warm_start_records(const SizingProblem& problem,
-                                                     const std::vector<SimRecord>& initial,
-                                                     const FomEvaluator& fom,
-                                                     const RunOptions& options) {
-  const auto* service = dynamic_cast<const eval::EvalService*>(&problem);
-  if (service == nullptr || options.warm_start_max == 0) return {};
-  const double epsilon = service->config().quant_epsilon;
+std::vector<SimRecord> warm_start_records(const eval::EvalService& service,
+                                          const std::vector<SimRecord>& initial,
+                                          const SizingProblem& problem, const FomEvaluator& fom,
+                                          std::size_t max) {
+  if (max == 0) return {};
+  const double epsilon = service.config().quant_epsilon;
 
   // Designs already present in the initial set must not be duplicated: a
   // duplicate would bias the critic pseudo-pool toward them for free.
   std::unordered_set<eval::CacheKey, eval::CacheKeyHash> seen;
   seen.reserve(initial.size());
   for (const SimRecord& r : initial)
-    seen.insert(eval::make_cache_key(service->fingerprint(), r.x, epsilon));
+    seen.insert(eval::make_cache_key(service.fingerprint(), r.x, epsilon));
 
   std::vector<SimRecord> warm;
-  for (eval::CachedEval& cached : service->cached()) {
-    const eval::CacheKey key = eval::make_cache_key(service->fingerprint(), cached.x, epsilon);
+  for (eval::CachedEval& cached : service.cached()) {
+    const eval::CacheKey key = eval::make_cache_key(service.fingerprint(), cached.x, epsilon);
     if (!seen.insert(key).second) continue;
     SimRecord record;
     record.x = std::move(cached.x);
@@ -59,7 +46,7 @@ std::vector<SimRecord> Optimizer::warm_start_records(const SizingProblem& proble
   }
   std::sort(warm.begin(), warm.end(),
             [](const SimRecord& a, const SimRecord& b) { return a.fom < b.fom; });
-  if (warm.size() > options.warm_start_max) warm.resize(options.warm_start_max);
+  if (warm.size() > max) warm.resize(max);
   return warm;
 }
 
@@ -99,10 +86,14 @@ void Optimizer::emit_run_finished(obs::RunTelemetry& telemetry, const RunHistory
 }
 
 void Optimizer::emit_simulation(obs::RunTelemetry& telemetry, const SimRecord& record,
-                                std::uint64_t index, std::uint64_t iteration, int lane,
-                                double seconds, const SizingProblem& problem,
-                                const eval::EvalOutcome* outcome) {
+                                std::uint64_t index, std::uint64_t iteration, int lane) {
   if (!telemetry.enabled()) return;
+  obs::RunCounters& counters = telemetry.counters();
+  counters.retries += record.retries;
+  if (record.cache != ckt::CacheOutcome::Uncached)
+    ++(record.cache == ckt::CacheOutcome::Hit ? counters.cache_hits : counters.cache_misses);
+  if (record.cache == ckt::CacheOutcome::Coalesced) ++counters.cache_coalesced;
+
   obs::SimulationCompleted event;
   event.index = index;
   event.iteration = iteration;
@@ -110,28 +101,12 @@ void Optimizer::emit_simulation(obs::RunTelemetry& telemetry, const SimRecord& r
   event.ok = record.simulation_ok;
   event.feasible = record.feasible;
   event.fom = record.fom;
-  event.seconds = seconds;
-  eval::EvalOutcome local;
-  if (outcome == nullptr && dynamic_cast<const eval::EvalService*>(&problem) != nullptr) {
-    local = eval::EvalService::last_outcome();
-    outcome = &local;
-  }
-  if (outcome != nullptr) {
-    event.cache_hit = outcome->cache_hit;
-    event.coalesced = outcome->coalesced;
-    event.retries = outcome->call.retries;
-    obs::RunCounters& counters = telemetry.counters();
-    counters.retries += outcome->call.retries;
-    ++(outcome->cache_hit ? counters.cache_hits : counters.cache_misses);
-    if (outcome->coalesced) ++counters.cache_coalesced;
-    if (!record.simulation_ok && outcome->call.failed)
-      event.failure_kind = ckt::to_string(outcome->call.last_kind);
-  } else if (dynamic_cast<const ckt::ResilientEvaluator*>(&problem) != nullptr) {
-    const auto call = ckt::ResilientEvaluator::last_call_stats();
-    event.retries = call.retries;
-    telemetry.counters().retries += call.retries;
-    if (!record.simulation_ok && call.failed) event.failure_kind = ckt::to_string(call.last_kind);
-  }
+  event.seconds = record.seconds;
+  event.retries = record.retries;
+  event.cache_hit = record.cache == ckt::CacheOutcome::Hit;
+  event.coalesced = record.cache == ckt::CacheOutcome::Coalesced;
+  if (!record.simulation_ok && record.failure_kind)
+    event.failure_kind = ckt::to_string(*record.failure_kind);
   telemetry.emit(event);
 }
 

@@ -12,7 +12,7 @@
 #include "obs/observer.hpp"
 
 namespace maopt::eval {
-struct EvalOutcome;
+class EvalService;
 }
 
 namespace maopt::core {
@@ -56,15 +56,6 @@ struct RunOptions {
   /// Cooperative pause/kill signal source; not owned, may be nullptr (the
   /// run is then uninterruptible). Polled once per optimizer iteration.
   RunControl* control = nullptr;
-  /// Seed the run from cached prior-run results: when `problem` is an
-  /// eval::EvalService, its cached evaluations for this problem (deduplicated
-  /// against `initial`, best FoM first, at most `warm_start_max`) are
-  /// appended to the initial set before the optimizer loop. They count as
-  /// initial samples, so the simulation budget is unchanged — the warm run
-  /// starts from strictly more information at the same cost. Ignored when
-  /// the problem is not a service.
-  bool warm_start = false;
-  std::size_t warm_start_max = 256;
 };
 
 /// Abstract optimizer: consumes a pre-evaluated initial set and a simulation
@@ -87,17 +78,6 @@ class Optimizer {
   RunHistory run(const SizingProblem& problem, const std::vector<SimRecord>& initial,
                  const FomEvaluator& fom, const RunOptions& options);
 
-  /// Legacy 5-argument form. Deprecated for one release (PR 9); every
-  /// in-tree caller now uses the RunOptions overload above.
-  [[deprecated("use run(problem, initial, fom, RunOptions) instead")]] RunHistory run(
-      const SizingProblem& problem, const std::vector<SimRecord>& initial, const FomEvaluator& fom,
-      std::uint64_t seed, std::size_t simulation_budget) {
-    RunOptions options;
-    options.seed = seed;
-    options.simulation_budget = simulation_budget;
-    return run(problem, initial, fom, options);
-  }
-
  protected:
   /// Optimizer-specific loop. Implementations emit IterationCompleted /
   /// SimulationCompleted / CheckpointWritten through `telemetry` and bump
@@ -115,27 +95,11 @@ class Optimizer {
                                const RunOptions& options);
   static void emit_run_finished(obs::RunTelemetry& telemetry, const RunHistory& history);
 
-  /// Emits SimulationCompleted for `record`. With `outcome == nullptr` the
-  /// per-call detail is probed from `problem`: an eval::EvalService yields
-  /// cache/coalesce flags + inner retry stats via last_outcome(), a bare
-  /// ckt::ResilientEvaluator yields retry stats via last_call_stats() — both
-  /// thread-local, so the call must run on the thread that performed the
-  /// evaluation. Batched callers pass the EvalOutcome captured per request
-  /// instead. No-op without an observer.
+  /// Emits SimulationCompleted for `record`, whose provenance fields (the
+  /// EvalResult's retries, failure kind, cache outcome and seconds) fill the
+  /// event and the retry / cache counters. No-op without an observer.
   static void emit_simulation(obs::RunTelemetry& telemetry, const SimRecord& record,
-                              std::uint64_t index, std::uint64_t iteration, int lane,
-                              double seconds, const SizingProblem& problem,
-                              const eval::EvalOutcome* outcome = nullptr);
-
-  /// The warm-start records for this run: cached prior-run results of
-  /// `problem` (when it is an eval::EvalService), annotated with `fom`,
-  /// deduplicated against `initial`, sorted best FoM first and capped at
-  /// options.warm_start_max. Empty when the problem is not a service or the
-  /// cache holds nothing new.
-  static std::vector<SimRecord> warm_start_records(const SizingProblem& problem,
-                                                   const std::vector<SimRecord>& initial,
-                                                   const FomEvaluator& fom,
-                                                   const RunOptions& options);
+                              std::uint64_t index, std::uint64_t iteration, int lane);
 
   /// Bumps the iteration counter and emits IterationCompleted; `spans` is
   /// consumed. The event itself is skipped without an observer.
@@ -143,5 +107,15 @@ class Optimizer {
                              std::size_t simulations_done, double best_fom, bool feasible_found,
                              double wall_seconds, std::vector<obs::PhaseSpan> spans);
 };
+
+/// Warm start: the cached prior-run results of `service`, annotated against
+/// `problem` with `fom`, deduplicated against `initial`, sorted best FoM
+/// first and capped at `max`. Callers append them to their initial set; they
+/// count as initial samples, so the simulation budget is unchanged and the
+/// warm run starts from strictly more information at the same cost.
+std::vector<SimRecord> warm_start_records(const eval::EvalService& service,
+                                          const std::vector<SimRecord>& initial,
+                                          const SizingProblem& problem, const FomEvaluator& fom,
+                                          std::size_t max);
 
 }  // namespace maopt::core

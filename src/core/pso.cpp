@@ -82,9 +82,8 @@ RunHistory PsoOptimizer::do_run(const SizingProblem& problem,
       pos[i] = problem.clip(std::move(pos[i]));
       select_s += select.elapsed_seconds();
 
-      Stopwatch sim;
       SimRecord rec = evaluate_record(problem, pos[i]);
-      const double sim_s = sim.elapsed_seconds();
+      const double sim_s = rec.seconds;
       history.sim_seconds += sim_s;
       annotate_record(rec, problem, fom);
 
@@ -100,7 +99,7 @@ RunHistory PsoOptimizer::do_run(const SizingProblem& problem,
       feasible_found = feasible_found || rec.feasible;
       history.records.push_back(std::move(rec));
       history.best_fom_after.push_back(best);
-      emit_simulation(telemetry, history.records.back(), sims, iteration, -1, sim_s, problem);
+      emit_simulation(telemetry, history.records.back(), sims, iteration, -1);
       if (telemetry.enabled()) spans.push_back({obs::Phase::Simulate, -1, sim_s});
       ++sims;
     }

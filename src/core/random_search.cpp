@@ -37,9 +37,8 @@ RunHistory RandomSearch::do_run(const SizingProblem& problem,
       }
       if (signal == RunControl::Signal::Pause) break;
     }
-    Stopwatch sim;
     SimRecord rec = evaluate_record(problem, problem.random_design(rng));
-    const double sim_s = sim.elapsed_seconds();
+    const double sim_s = rec.seconds;
     history.sim_seconds += sim_s;
     annotate_record(rec, problem, fom);
     best = std::min(best, rec.fom);
@@ -47,7 +46,7 @@ RunHistory RandomSearch::do_run(const SizingProblem& problem,
     history.records.push_back(std::move(rec));
     history.best_fom_after.push_back(best);
 
-    emit_simulation(telemetry, history.records.back(), i, i + 1, -1, sim_s, problem);
+    emit_simulation(telemetry, history.records.back(), i, i + 1, -1);
     std::vector<obs::PhaseSpan> spans;
     if (telemetry.enabled()) spans.push_back({obs::Phase::Simulate, -1, sim_s});
     emit_iteration(telemetry, i + 1, i + 1, best, feasible_found, sim_s, std::move(spans));

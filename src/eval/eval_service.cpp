@@ -11,8 +11,7 @@ namespace maopt::eval {
 
 namespace {
 
-thread_local EvalOutcome t_last_outcome;  // NOLINT(cppcoreguidelines-avoid-non-const-global-variables)
-thread_local std::string t_tenant;        // NOLINT(cppcoreguidelines-avoid-non-const-global-variables)
+thread_local std::string t_tenant;  // NOLINT(cppcoreguidelines-avoid-non-const-global-variables)
 
 std::string journal_path_for(const std::string& cache_dir) {
   if (cache_dir.empty()) return {};
@@ -55,7 +54,6 @@ const std::string& EvalService::current_tenant() { return t_tenant; }
 
 EvalService::EvalService(const ckt::SizingProblem& inner, EvalServiceConfig config)
     : inner_(&inner),
-      resilient_(dynamic_cast<const ckt::ResilientEvaluator*>(&inner)),
       config_(std::move(config)),
       problem_fp_(problem_fingerprint(inner)) {
   ResultCache::Config cache_config;
@@ -115,8 +113,6 @@ void EvalService::release_session(std::unique_ptr<ckt::EvalSession> session) con
   sessions_.push_back(std::move(session));
 }
 
-EvalOutcome EvalService::last_outcome() { return t_last_outcome; }
-
 EvalCounters EvalService::counters() const {
   EvalCounters c;
   c.requested = requested_.load(std::memory_order_relaxed);
@@ -128,60 +124,68 @@ EvalCounters EvalService::counters() const {
 }
 
 ckt::EvalResult EvalService::evaluate(const Vec& x) const {
-  t_last_outcome = EvalOutcome{};  // a throwing call must not leave a stale outcome
   const AdmissionGuard grant(admission_.load(std::memory_order_acquire), t_tenant, 1);
-  EvalOutcome outcome;
-  ckt::EvalResult result = evaluate_impl(x, ckt::ProcessVariation{}, cache_for(t_tenant), outcome);
-  t_last_outcome = outcome;
-  return result;
+  return evaluate_impl(x, ckt::ProcessVariation{}, cache_for(t_tenant));
 }
 
 ckt::EvalResult EvalService::evaluate_at(const Vec& x, const ckt::ProcessVariation& pv) const {
   ckt::validate_process_variation(pv);
-  t_last_outcome = EvalOutcome{};  // a throwing call must not leave a stale outcome
   const AdmissionGuard grant(admission_.load(std::memory_order_acquire), t_tenant, 1);
-  EvalOutcome outcome;
-  ckt::EvalResult result = evaluate_impl(x, pv, cache_for(t_tenant), outcome);
-  t_last_outcome = outcome;
-  return result;
+  return evaluate_impl(x, pv, cache_for(t_tenant));
 }
 
 std::vector<ckt::EvalResult> EvalService::evaluate_variants(
     const Vec& x, std::span<const ckt::ProcessVariation> pvs) const {
-  std::vector<ckt::EvalResult> results(pvs.size());
-  if (pvs.empty()) return results;
-  // Tenant and admission are resolved here, on the caller's thread — pool
-  // workers never inherit the thread-local namespace.
-  const AdmissionGuard grant(admission_.load(std::memory_order_acquire), t_tenant, pvs.size());
+  return fan_out(pvs.size(), [this, &x, &pvs](std::size_t i, ResultCache& cache) {
+    return evaluate_impl(x, pvs[i], cache);
+  });
+}
+
+std::vector<ckt::EvalResult> EvalService::evaluate_batch(std::span<const Vec> xs,
+                                                         ThreadPool* /*pool*/) const {
+  return fan_out(xs.size(), [this, &xs](std::size_t i, ResultCache& cache) {
+    return evaluate_impl(xs[i], ckt::ProcessVariation{}, cache);
+  });
+}
+
+std::vector<ckt::EvalResult> EvalService::fan_out(
+    std::size_t n,
+    const std::function<ckt::EvalResult(std::size_t, ResultCache&)>& request) const {
+  std::vector<ckt::EvalResult> results(n);
+  if (n == 0) return results;
+  // This is the scheduler's throttle point: the whole batch is one grant, so
+  // a greedy job waits here while other tenants' batches drain. Tenant and
+  // cache are resolved on the caller's thread — pool workers never inherit
+  // the thread-local namespace.
+  const AdmissionGuard grant(admission_.load(std::memory_order_acquire), t_tenant, n);
   ResultCache& cache = cache_for(t_tenant);
 
-  // A throwing variant must become a failed result, not a lost sweep: the
-  // sweep engine owns partial-failure semantics and needs every slot filled.
-  const auto run_one = [this, &x, &pvs, &results, &cache](std::size_t i) {
-    EvalOutcome outcome;
+  // A throwing request must become a failed result, not a lost batch: the
+  // callers (optimizer rounds, sweeps) need every slot filled. It was
+  // counted as a miss, and says so.
+  const auto run_one = [this, &request, &results, &cache](std::size_t i) {
     try {
-      results[i] = evaluate_impl(x, pvs[i], cache, outcome);
+      results[i] = request(i, cache);
     } catch (...) {
-      results[i].metrics = inner_->failure_metrics();
-      results[i].simulation_ok = false;
+      results[i] = failure_result(ckt::FailureKind::Exception);
+      results[i].cache = ckt::CacheOutcome::Miss;
     }
   };
 
-  if (pvs.size() == 1) {
+  if (n == 1) {
     run_one(0);
     return results;
   }
   ThreadPool& pool = batch_pool();
   std::vector<std::future<void>> futures;
-  futures.reserve(pvs.size());
-  for (std::size_t i = 0; i < pvs.size(); ++i)
-    futures.push_back(pool.submit([&run_one, i] { run_one(i); }));
+  futures.reserve(n);
+  for (std::size_t i = 0; i < n; ++i) futures.push_back(pool.submit([&run_one, i] { run_one(i); }));
   for (auto& fut : futures) fut.get();
   return results;
 }
 
 ckt::EvalResult EvalService::evaluate_impl(const Vec& x, const ckt::ProcessVariation& pv,
-                                           ResultCache& cache, EvalOutcome& outcome) const {
+                                           ResultCache& cache) const {
   requested_.fetch_add(1, std::memory_order_relaxed);
   // Per-variant content address: an enabled variation folds its fingerprint
   // into the problem fingerprint, so every corner / MC instance of a design
@@ -191,12 +195,13 @@ ckt::EvalResult EvalService::evaluate_impl(const Vec& x, const ckt::ProcessVaria
   const CacheKey key = make_cache_key(fp, x, config_.quant_epsilon);
 
   // Fast path: already cached (in this request's tenant namespace).
-  if (auto metrics = cache.lookup(key)) {
+  const auto hit = [this](Vec metrics) {
     hits_.fetch_add(1, std::memory_order_relaxed);
-    outcome = EvalOutcome{};
-    outcome.cache_hit = true;
-    return ckt::EvalResult{std::move(*metrics), /*simulation_ok=*/true};
-  }
+    ckt::EvalResult result{std::move(metrics), /*simulation_ok=*/true};
+    result.cache = ckt::CacheOutcome::Hit;
+    return result;
+  };
+  if (auto metrics = cache.lookup(key)) return hit(std::move(*metrics));
 
   std::shared_ptr<InFlight> flight;
   bool producer = false;
@@ -205,12 +210,7 @@ ckt::EvalResult EvalService::evaluate_impl(const Vec& x, const ckt::ProcessVaria
     // Re-check under the lock: a producer may have published between our
     // lookup above and here (publishers insert into the cache *before*
     // erasing their in-flight entry, so this pair of checks has no gap).
-    if (auto metrics = cache.lookup(key)) {
-      hits_.fetch_add(1, std::memory_order_relaxed);
-      outcome = EvalOutcome{};
-      outcome.cache_hit = true;
-      return ckt::EvalResult{std::move(*metrics), /*simulation_ok=*/true};
-    }
+    if (auto metrics = cache.lookup(key)) return hit(std::move(*metrics));
     auto it = inflight_.find(key);
     if (it != inflight_.end()) {
       flight = it->second;  // join the running simulation
@@ -226,11 +226,10 @@ ckt::EvalResult EvalService::evaluate_impl(const Vec& x, const ckt::ProcessVaria
   if (!producer) {
     coalesced_.fetch_add(1, std::memory_order_relaxed);
     ckt::EvalResult result = flight->future.get();
-    // The producer wrote its outcome before resolving the promise, so this
-    // read is ordered-after the write.
-    outcome = flight->outcome;
-    outcome.coalesced = true;
-    outcome.seconds = 0.0;  // no new simulation ran for this request
+    // The producer's retries and failure kind carry over; its simulation
+    // time does not, because no new simulation ran for this request.
+    result.cache = ckt::CacheOutcome::Coalesced;
+    result.seconds = 0.0;
     // Cross-tenant dedup: a consumer in a different namespace records the
     // shared result in its own cache, so its journal stays self-contained.
     if (result.simulation_ok && flight->published_to != &cache)
@@ -255,11 +254,6 @@ ckt::EvalResult EvalService::evaluate_impl(const Vec& x, const ckt::ProcessVaria
     // Keep the waiters and the in-flight map consistent even when the inner
     // problem throws (possible when the service wraps a raw problem rather
     // than a ResilientEvaluator).
-    outcome = EvalOutcome{};
-    outcome.seconds = timer.elapsed_seconds();
-    outcome.call.failed = true;
-    outcome.call.last_kind = ckt::FailureKind::Exception;
-    flight->outcome = outcome;
     {
       const MutexLock lock(inflight_mutex_);
       inflight_.erase(key);
@@ -267,14 +261,12 @@ ckt::EvalResult EvalService::evaluate_impl(const Vec& x, const ckt::ProcessVaria
     flight->promise.set_exception(std::current_exception());
     throw;
   }
-  outcome = EvalOutcome{};
-  outcome.seconds = timer.elapsed_seconds();
-  if (resilient_ != nullptr) outcome.call = ckt::ResilientEvaluator::last_call_stats();
+  result.cache = ckt::CacheOutcome::Miss;
+  result.seconds = timer.elapsed_seconds();
 
   release_session(std::move(session));  // the throw path drops it instead
 
   if (result.simulation_ok) cache.insert(key, fp, x, result.metrics);
-  flight->outcome = outcome;
   flight->published_to = &cache;
   {
     const MutexLock lock(inflight_mutex_);
@@ -282,51 +274,6 @@ ckt::EvalResult EvalService::evaluate_impl(const Vec& x, const ckt::ProcessVaria
   }
   flight->promise.set_value(result);
   return result;
-}
-
-std::vector<ckt::EvalResult> EvalService::evaluate_batch(
-    std::span<const Vec> xs, std::vector<EvalOutcome>* outcomes) const {
-  std::vector<ckt::EvalResult> results(xs.size());
-  if (outcomes != nullptr) {
-    outcomes->clear();
-    outcomes->resize(xs.size());
-  }
-  if (xs.empty()) return results;
-  // This is the scheduler's throttle point: the whole batch is one grant, so
-  // a greedy job waits here while other tenants' batches drain. Tenant and
-  // cache are resolved on the caller's thread (workers have no namespace).
-  const AdmissionGuard grant(admission_.load(std::memory_order_acquire), t_tenant, xs.size());
-  ResultCache& cache = cache_for(t_tenant);
-  if (xs.size() == 1) {
-    EvalOutcome outcome;
-    results[0] = evaluate_impl(xs[0], ckt::ProcessVariation{}, cache, outcome);
-    t_last_outcome = outcome;
-    if (outcomes != nullptr) (*outcomes)[0] = outcome;
-    return results;
-  }
-
-  ThreadPool& pool = batch_pool();
-  std::vector<std::future<void>> futures;
-  futures.reserve(xs.size());
-  std::vector<EvalOutcome> local(xs.size());
-  for (std::size_t i = 0; i < xs.size(); ++i) {
-    futures.push_back(pool.submit([this, &xs, &results, &local, &cache, i] {
-      results[i] = evaluate_impl(xs[i], ckt::ProcessVariation{}, cache, local[i]);
-    }));
-  }
-  // Wait on everything before rethrowing so the captured references above
-  // are dead when an exception propagates.
-  std::exception_ptr first_error;
-  for (auto& fut : futures) {
-    try {
-      fut.get();
-    } catch (...) {
-      if (!first_error) first_error = std::current_exception();
-    }
-  }
-  if (first_error) std::rethrow_exception(first_error);
-  if (outcomes != nullptr) *outcomes = std::move(local);
-  return results;
 }
 
 }  // namespace maopt::eval

@@ -12,9 +12,13 @@
 //   * In-flight deduplication. Concurrent requests for the same key share
 //     one underlying simulation: the first becomes the producer, the rest
 //     block on its shared future and receive the identical result.
-//   * Batched evaluation. evaluate_batch() fans a span of designs over an
-//     internal ThreadPool, so the N_act proposals of one MA-Opt iteration
-//     (or an NS candidate ranking) become one parallel batch.
+//   * Batched evaluation. evaluate_batch() and evaluate_variants() fan a
+//     span of requests over an internal ThreadPool, so the N_act proposals of
+//     one MA-Opt iteration, or the variants of one corner / Monte Carlo
+//     sweep, become one parallel batch.
+//
+// Every result says how it was produced: the service stamps its cache
+// outcome and simulation time on the EvalResult it returns (sizing_problem.hpp).
 //
 // Budget semantics: a cache hit still *counts* as a simulation for budget
 // purposes — callers consume budget per request exactly as before — the
@@ -28,6 +32,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <functional>
 #include <future>
 #include <memory>
 #include <span>
@@ -37,9 +42,7 @@
 
 #include "common/thread_annotations.hpp"
 
-#include "circuits/resilient_problem.hpp"
 #include "circuits/sizing_problem.hpp"
-#include "circuits/variation_sweep.hpp"
 #include "eval/result_cache.hpp"
 
 namespace maopt {
@@ -121,21 +124,9 @@ class ScopedTenant {
   std::string previous_;
 };
 
-/// Per-request telemetry, mirroring ResilientEvaluator::CallStats: how the
-/// result the caller just received was produced.
-struct EvalOutcome {
-  bool cache_hit = false;  ///< served from the result cache
-  bool coalesced = false;  ///< shared a concurrent producer's simulation
-  double seconds = 0.0;    ///< wall-clock of the underlying simulation; 0 when
-                           ///< no new simulation ran (hit or coalesced)
-  ckt::ResilientEvaluator::CallStats call;  ///< inner resilient stats (producer's)
-};
-
-class EvalService final : public ckt::SizingProblem, public ckt::SweepBackend {
+class EvalService final : public ckt::SizingProblem {
  public:
-  /// `inner` is not owned and must outlive this service. When `inner` is a
-  /// ResilientEvaluator its per-call retry/failure stats are captured on the
-  /// executing thread and surfaced through EvalOutcome::call.
+  /// `inner` is not owned and must outlive this service.
   explicit EvalService(const ckt::SizingProblem& inner, EvalServiceConfig config = {});
   ~EvalService() override;
 
@@ -153,7 +144,8 @@ class EvalService final : public ckt::SizingProblem, public ckt::SweepBackend {
   Vec failure_metrics() const override { return inner_->failure_metrics(); }
 
   /// Point path: cache lookup -> in-flight join -> simulate. Thread-safe
-  /// whenever the inner problem's evaluate() is.
+  /// whenever the inner problem's evaluate() is. Stamps the cache outcome
+  /// and simulation seconds on the result; an inner exception propagates.
   ckt::EvalResult evaluate(const Vec& x) const override;
 
   /// Variation-pinned point path: same cache/dedup pipeline under a
@@ -169,24 +161,18 @@ class EvalService final : public ckt::SizingProblem, public ckt::SweepBackend {
   }
   std::uint64_t content_fingerprint() const override { return inner_->content_fingerprint(); }
 
-  /// SweepBackend: fans one design's variants over the batch pool, each
-  /// through the variation-pinned point path above. A variant whose
-  /// simulation throws is returned as a failed EvalResult — partial failure
-  /// is the expected case for sweep callers (variation_sweep.hpp).
+  /// Fans one design's variants over the batch pool, each through the
+  /// variation-pinned point path above, under one admission grant. A variant
+  /// whose simulation throws comes back as a failed EvalResult.
   std::vector<ckt::EvalResult> evaluate_variants(
       const Vec& x, std::span<const ckt::ProcessVariation> pvs) const override;
 
-  /// Batched path: evaluates every design over the internal pool (duplicates
-  /// within the batch coalesce onto one simulation). Results are positional.
-  /// When `outcomes` is non-null it is resized to xs.size() and filled with
-  /// the per-request telemetry — the batched analog of last_outcome().
+  /// Batched path: evaluates every design over the service's own pool (the
+  /// caller's `pool` is not used) under one admission grant; duplicates
+  /// within the batch coalesce onto one simulation. Results are positional;
+  /// a throwing item comes back as a failed EvalResult.
   std::vector<ckt::EvalResult> evaluate_batch(std::span<const Vec> xs,
-                                              std::vector<EvalOutcome>* outcomes = nullptr) const;
-
-  /// The EvalOutcome of the most recent evaluate() on the *calling thread*
-  /// (thread-local, shared across instances — the same idiom as
-  /// ResilientEvaluator::last_call_stats()).
-  static EvalOutcome last_outcome();
+                                              ThreadPool* pool) const override;
 
   EvalCounters counters() const;
 
@@ -223,16 +209,22 @@ class EvalService final : public ckt::SizingProblem, public ckt::SweepBackend {
   struct InFlight {
     std::promise<ckt::EvalResult> promise;
     std::shared_future<ckt::EvalResult> future;
-    EvalOutcome outcome;  ///< written by the producer before the promise resolves
-    ResultCache* published_to = nullptr;  ///< producer's namespace (same ordering)
+    /// Producer's namespace, written before the promise resolves.
+    ResultCache* published_to = nullptr;
   };
 
   /// The tenant's ResultCache (the default cache for the empty / an unknown
   /// name). References stay valid for the service's lifetime.
   ResultCache& cache_for(const std::string& tenant) const;
 
-  ckt::EvalResult evaluate_impl(const Vec& x, const ckt::ProcessVariation& pv, ResultCache& cache,
-                                EvalOutcome& outcome) const;
+  ckt::EvalResult evaluate_impl(const Vec& x, const ckt::ProcessVariation& pv,
+                                ResultCache& cache) const;
+  /// Runs request(i, cache) for i in [0, n) over the batch pool under one
+  /// admission grant for the calling thread's tenant; a throwing request
+  /// becomes a failed result.
+  std::vector<ckt::EvalResult> fan_out(
+      std::size_t n,
+      const std::function<ckt::EvalResult(std::size_t, ResultCache&)>& request) const;
   ThreadPool& batch_pool() const;
 
   /// Session pool: producers check a session out for the duration of one
@@ -243,7 +235,6 @@ class EvalService final : public ckt::SizingProblem, public ckt::SweepBackend {
   void release_session(std::unique_ptr<ckt::EvalSession> session) const;
 
   const ckt::SizingProblem* inner_;
-  const ckt::ResilientEvaluator* resilient_;  ///< inner_ when it is resilient
   EvalServiceConfig config_;
   std::uint64_t problem_fp_;
   std::unique_ptr<ResultCache> cache_;

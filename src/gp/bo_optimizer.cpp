@@ -108,9 +108,8 @@ core::RunHistory BoOptimizer::do_run(const core::SizingProblem& problem,
     for (std::size_t j = 0; j < d; ++j) u[j] = 2.0 * next_unit01[j] - 1.0;
     Vec candidate = problem.clip(scaler.from_unit(u));
 
-    Stopwatch sim;
     core::SimRecord rec = core::evaluate_record(problem, std::move(candidate));
-    const double sim_s = sim.elapsed_seconds();
+    const double sim_s = rec.seconds;
     history.sim_seconds += sim_s;
     const bool ok = core::annotate_record(rec, problem, fom);
     consecutive_failures = ok ? 0 : consecutive_failures + 1;
@@ -128,7 +127,7 @@ core::RunHistory BoOptimizer::do_run(const core::SizingProblem& problem,
     if (!have_best) best = fom(problem.failure_metrics());
     history.best_fom_after.push_back(best);
 
-    emit_simulation(telemetry, history.records.back(), it, it + 1, -1, sim_s, problem);
+    emit_simulation(telemetry, history.records.back(), it, it + 1, -1);
     std::vector<obs::PhaseSpan> spans;
     if (telemetry.enabled()) {
       spans.push_back({obs::Phase::CriticTrain, -1, fit_s});

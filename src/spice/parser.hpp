@@ -94,9 +94,4 @@ struct ParsedNetlist {
 /// being dropped silently; `.end` terminates parsing.
 ParsedNetlist parse_netlist(const std::string& deck);
 
-/// Result-type alias: parse_netlist returns devices + warnings, not just
-/// a netlist, and call sites that only care about diagnostics read better
-/// with this name.
-using ParseResult = ParsedNetlist;
-
 }  // namespace maopt::spice

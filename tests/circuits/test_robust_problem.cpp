@@ -22,7 +22,9 @@ TEST(RobustProblem, RejectsVariationUnawareInner) {
 
 TEST(RobustProblem, RejectsEmptyCornerSet) {
   TwoStageOta ota;
-  EXPECT_THROW(RobustProblem robust(ota, {}), std::invalid_argument);
+  RobustConfig config;
+  config.corners.clear();
+  EXPECT_THROW(RobustProblem robust(ota, config), std::invalid_argument);
 }
 
 TEST(RobustProblem, DelegatesProblemShape) {
@@ -36,7 +38,9 @@ TEST(RobustProblem, DelegatesProblemShape) {
 
 TEST(RobustProblem, TtOnlyMatchesNominal) {
   TwoStageOta ota;
-  RobustProblem robust(ota, {ProcessCorner::TT});
+  RobustConfig config;
+  config.corners = {ProcessCorner::TT};
+  RobustProblem robust(ota, config);
   const Vec x = ota.clip(ota_reference());
   const auto nominal = ota.evaluate(x);
   const auto robust_r = robust.evaluate(x);
@@ -89,8 +93,8 @@ TEST(RobustProblem, RejectsDuplicateCorners) {
   RobustConfig config;
   config.corners = {ProcessCorner::TT, ProcessCorner::FF, ProcessCorner::FF};
   EXPECT_THROW(RobustProblem robust(ota, config), std::invalid_argument);
-  EXPECT_THROW(RobustProblem robust(ota, {ProcessCorner::SS, ProcessCorner::SS}),
-               std::invalid_argument);
+  config.corners = {ProcessCorner::SS, ProcessCorner::SS};
+  EXPECT_THROW(RobustProblem robust(ota, config), std::invalid_argument);
 }
 
 TEST(RobustProblem, RejectsNonFiniteSteps) {
@@ -109,10 +113,14 @@ TEST(RobustProblem, ConfigCtorSelectsPolicy) {
   EXPECT_EQ(robust.num_corners(), 5u);
   EXPECT_EQ(robust.policy().aggregation, RobustAggregation::KSigma);
   EXPECT_EQ(robust.policy().failure_policy, SweepFailurePolicy::PenalizeFailedVariant);
-  // Legacy corner-list ctor keeps the original fail-fast semantics.
-  RobustProblem legacy(p, {ProcessCorner::TT, ProcessCorner::FF});
-  EXPECT_EQ(legacy.policy().failure_policy, SweepFailurePolicy::FailFast);
-  EXPECT_EQ(legacy.policy().aggregation, RobustAggregation::WorstCase);
+  // The original fail-fast semantics are one policy field away.
+  RobustConfig fail_fast;
+  fail_fast.corners = {ProcessCorner::TT, ProcessCorner::FF};
+  fail_fast.policy.failure_policy = SweepFailurePolicy::FailFast;
+  RobustProblem strict(p, fail_fast);
+  EXPECT_EQ(strict.num_corners(), 2u);
+  EXPECT_EQ(strict.policy().failure_policy, SweepFailurePolicy::FailFast);
+  EXPECT_EQ(strict.policy().aggregation, RobustAggregation::WorstCase);
 }
 
 TEST(RobustProblem, CornerVariantsAreLabeled) {

@@ -55,7 +55,6 @@ TEST(VariationSweep, WorstCaseAggregatesPerConstraintDirection) {
   VariedAnalytic p;
   SweepPolicyConfig policy;  // WorstCase
   VariationSweepProblem sweep(p, three_variants(), policy, "corners");
-  EXPECT_FALSE(sweep.batched());
   const EvalResult r = sweep.evaluate(test_design());
   ASSERT_TRUE(r.simulation_ok);
   EXPECT_FALSE(r.degraded);

@@ -6,10 +6,12 @@
 
 #include <cmath>
 #include <cstdio>
+#include <optional>
 
 #include "circuits/analytic_problems.hpp"
 #include "circuits/resilient_problem.hpp"
 #include "core/ma_optimizer.hpp"
+#include "eval/eval_service.hpp"
 #include "gp/bo_optimizer.hpp"
 
 namespace maopt::core {
@@ -71,24 +73,58 @@ TEST_F(FaultFixture, MaOptSurvivesFaultRateSweep) {
   }
 }
 
+/// Keeps every SimulationCompleted event of a run.
+class SimEvents final : public obs::RunObserver {
+ public:
+  void on_simulation_completed(const obs::SimulationCompleted& event) override {
+    events.push_back(event);
+  }
+  std::vector<obs::SimulationCompleted> events;
+};
+
 TEST_F(FaultFixture, MaOptAcceptanceRunAtTwentyFivePercent) {
   // The ISSUE acceptance scenario: 25% mixed faults (throws, hangs past a
-  // deadline, NaN metrics, garbage), full budget, no crash, clean history.
+  // deadline, NaN metrics, garbage), full budget, no crash, clean history —
+  // on the bare resilient stack and under an EvalService. Each event's
+  // retries and failure kind must account exactly for the resilient layer's
+  // own tally.
   const ckt::FaultInjectingProblem faulty(
       problem, ckt::FaultInjectionConfig::mixed(0.25, 33, /*hang_seconds=*/0.02));
   ckt::ResilientConfig rcfg;
   rcfg.deadline_seconds = 0.005;  // hangs become timeouts
   rcfg.max_retries = 1;
-  const ckt::ResilientEvaluator resilient(faulty, rcfg);
+  for (const bool with_service : {false, true}) {
+    const ckt::ResilientEvaluator resilient(faulty, rcfg);
+    std::optional<eval::EvalService> service;
+    if (with_service) service.emplace(resilient);
+    const ckt::SizingProblem& target =
+        with_service ? static_cast<const ckt::SizingProblem&>(*service) : resilient;
 
-  MaOptimizer opt(small_config(MaOptConfig::ma_opt()));
-  RunHistory h;
-  ASSERT_NO_THROW(h = opt.run(resilient, initial, *fom, {.seed = 9, .simulation_budget = 30}));
-  assert_history_clean(h, 30);
-  EXPECT_FALSE(h.aborted);
+    MaOptimizer opt(small_config(MaOptConfig::ma_opt()));
+    SimEvents log;
+    RunHistory h;
+    ASSERT_NO_THROW(h = opt.run(target, initial, *fom,
+                                {.seed = 9, .simulation_budget = 30, .observer = &log}));
+    assert_history_clean(h, 30);
+    EXPECT_FALSE(h.aborted);
+    const ckt::FailureStats stats = resilient.stats();
+    EXPECT_GT(stats.failures + stats.retries, 0u);
+
+    ASSERT_EQ(log.events.size(), 30u);
+    std::uint64_t retries = 0;
+    std::uint64_t failures = 0;
+    for (const auto& event : log.events) {
+      if (!event.failure_kind.empty()) {
+        EXPECT_FALSE(event.ok) << "simulation " << event.index;
+      }
+      if (event.cache_hit || event.coalesced) continue;  // no resilient call of its own
+      retries += event.retries;
+      failures += event.failure_kind.empty() ? 0 : 1;
+    }
+    EXPECT_EQ(retries, stats.retries) << (with_service ? "service" : "bare");
+    EXPECT_EQ(failures, stats.failures) << (with_service ? "service" : "bare");
+  }
   EXPECT_GT(faulty.injected(), 0u);
-  const ckt::FailureStats stats = resilient.stats();
-  EXPECT_GT(stats.failures + stats.retries, 0u);
 }
 
 TEST_F(FaultFixture, FailedRecordsStayOutOfTrajectoryAndBest) {

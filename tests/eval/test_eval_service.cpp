@@ -13,6 +13,7 @@
 #include "circuits/robust_problem.hpp"
 #include "circuits/two_stage_ota.hpp"
 #include "common/rng.hpp"
+#include "obs/observer.hpp"
 
 namespace maopt::eval {
 namespace {
@@ -97,17 +98,13 @@ TEST_F(ServiceFixture, PointPathHitsOnRepeat) {
   const Vec x = {0.1, 0.2, 0.3};
 
   const auto first = service.evaluate(x);
-  const auto miss = EvalService::last_outcome();
   EXPECT_TRUE(first.simulation_ok);
-  EXPECT_FALSE(miss.cache_hit);
-  EXPECT_FALSE(miss.coalesced);
-  EXPECT_GE(miss.seconds, 0.0);
+  EXPECT_EQ(first.cache, ckt::CacheOutcome::Miss);
+  EXPECT_GE(first.seconds, 0.0);
 
   const auto second = service.evaluate(x);
-  const auto hit = EvalService::last_outcome();
-  EXPECT_TRUE(hit.cache_hit);
-  EXPECT_FALSE(hit.coalesced);
-  EXPECT_EQ(hit.seconds, 0.0);
+  EXPECT_EQ(second.cache, ckt::CacheOutcome::Hit);
+  EXPECT_EQ(second.seconds, 0.0);
   EXPECT_EQ(second.metrics, first.metrics);
 
   EXPECT_EQ(counting.calls.load(), 1);
@@ -175,10 +172,8 @@ TEST_F(ServiceFixture, BatchIsPositionalAndDeduplicatesWithinBatch) {
   const Vec c = {0.7, 0.8, 0.9};
   const std::vector<Vec> xs = {a, b, a, c, b, a};
 
-  std::vector<EvalOutcome> outcomes;
-  const auto results = service.evaluate_batch(xs, &outcomes);
+  const auto results = service.evaluate_batch(xs, nullptr);
   ASSERT_EQ(results.size(), xs.size());
-  ASSERT_EQ(outcomes.size(), xs.size());
   for (std::size_t i = 0; i < xs.size(); ++i) {
     EXPECT_TRUE(results[i].simulation_ok);
     EXPECT_EQ(results[i].metrics, quad.evaluate(xs[i]).metrics) << "position " << i;
@@ -194,20 +189,18 @@ TEST_F(ServiceFixture, BatchIsPositionalAndDeduplicatesWithinBatch) {
   // Exactly three requests produced a fresh simulation; the duplicates were
   // served by the cache or a concurrent producer (scheduling decides which).
   std::size_t fresh = 0;
-  for (const auto& o : outcomes) fresh += (!o.cache_hit && !o.coalesced) ? 1 : 0;
+  for (const auto& r : results) fresh += r.cache == ckt::CacheOutcome::Miss ? 1 : 0;
   EXPECT_EQ(fresh, 3u);
 }
 
 TEST_F(ServiceFixture, BatchHandlesEmptyAndSingle) {
   EvalService service(counting);
-  EXPECT_TRUE(service.evaluate_batch({}).empty());
+  EXPECT_TRUE(service.evaluate_batch({}, nullptr).empty());
   const std::vector<Vec> one = {{0.1, 0.2, 0.3}};
-  std::vector<EvalOutcome> outcomes;
-  const auto results = service.evaluate_batch(one, &outcomes);
+  const auto results = service.evaluate_batch(one, nullptr);
   ASSERT_EQ(results.size(), 1u);
-  ASSERT_EQ(outcomes.size(), 1u);
   EXPECT_EQ(results[0].metrics, quad.evaluate(one[0]).metrics);
-  EXPECT_FALSE(outcomes[0].cache_hit);
+  EXPECT_EQ(results[0].cache, ckt::CacheOutcome::Miss);
 }
 
 // Satellite #3: N threads requesting overlapping keys must coalesce onto
@@ -232,15 +225,10 @@ TEST_F(ServiceFixture, ConcurrentRequestsCoalesceOntoOneSimulation) {
   while (!producer_entered.load(std::memory_order_acquire)) std::this_thread::yield();
 
   std::vector<ckt::EvalResult> waiter_results(kWaiters);
-  std::vector<EvalOutcome> waiter_outcomes(kWaiters);
   std::vector<std::thread> waiters;
   waiters.reserve(kWaiters);
-  for (int i = 0; i < kWaiters; ++i) {
-    waiters.emplace_back([&, i] {
-      waiter_results[i] = service.evaluate(x);
-      waiter_outcomes[i] = EvalService::last_outcome();
-    });
-  }
+  for (int i = 0; i < kWaiters; ++i)
+    waiters.emplace_back([&, i] { waiter_results[i] = service.evaluate(x); });
   for (auto& t : waiters) t.join();
   producer.join();
   counting.hook = nullptr;
@@ -248,9 +236,8 @@ TEST_F(ServiceFixture, ConcurrentRequestsCoalesceOntoOneSimulation) {
   EXPECT_EQ(counting.calls.load(), 1) << "exactly one simulation for the shared key";
   for (int i = 0; i < kWaiters; ++i) {
     EXPECT_EQ(waiter_results[i].metrics, producer_result.metrics);
-    EXPECT_TRUE(waiter_outcomes[i].coalesced);
-    EXPECT_FALSE(waiter_outcomes[i].cache_hit);
-    EXPECT_EQ(waiter_outcomes[i].seconds, 0.0);
+    EXPECT_EQ(waiter_results[i].cache, ckt::CacheOutcome::Coalesced);
+    EXPECT_EQ(waiter_results[i].seconds, 0.0);
   }
   const auto c = service.counters();
   EXPECT_EQ(c.requested, static_cast<std::uint64_t>(kWaiters) + 1);
@@ -289,16 +276,31 @@ TEST_F(ServiceFixture, ManyThreadsManyKeysSimulateEachKeyOnce) {
   EXPECT_LE(c.coalesced, c.misses);
 }
 
-TEST_F(ServiceFixture, CapturesResilientCallStats) {
+TEST_F(ServiceFixture, CarriesResilientProvenance) {
   ckt::ResilientEvaluator resilient(quad);
   EvalService service(resilient);
   const Vec x = {0.2, 0.2, 0.2};
-  EXPECT_TRUE(service.evaluate(x).simulation_ok);
-  const auto outcome = EvalService::last_outcome();
-  EXPECT_FALSE(outcome.call.failed);
-  EXPECT_EQ(outcome.call.retries, 0u);
+  const auto result = service.evaluate(x);
+  EXPECT_TRUE(result.simulation_ok);
+  EXPECT_FALSE(result.failure_kind.has_value());
+  EXPECT_EQ(result.retries, 0u);
   EXPECT_EQ(service.fingerprint(), problem_fingerprint(quad))
       << "fingerprint must see through the resilient wrapper";
+
+  // A failing design keeps the resilient layer's retries and failure kind
+  // through the service, which adds its own cache outcome.
+  ckt::FaultInjectionConfig nan_always;
+  nan_always.nan_rate = 1.0;
+  const ckt::FaultInjectingProblem faulty(quad, nan_always);
+  ckt::ResilientConfig two_retries;
+  two_retries.max_retries = 2;
+  const ckt::ResilientEvaluator faulty_resilient(faulty, two_retries);
+  const EvalService faulty_service(faulty_resilient);
+  const auto failed = faulty_service.evaluate(x);
+  EXPECT_FALSE(failed.simulation_ok);
+  EXPECT_EQ(failed.failure_kind, ckt::FailureKind::NonFinite);
+  EXPECT_EQ(failed.retries, 2u);
+  EXPECT_EQ(failed.cache, ckt::CacheOutcome::Miss);
 }
 
 TEST_F(ServiceFixture, CachedExposesEvaluatedDesigns) {
@@ -360,10 +362,10 @@ TEST_F(ServiceFixture, SessionPoolCreatesAtMostOneSessionPerWorker) {
 
   std::vector<Vec> designs;
   for (int i = 0; i < 8; ++i) designs.push_back({0.01 * i, 0.2, 0.3});
-  service.evaluate_batch(designs);
-  service.evaluate_batch(designs);  // all hits: no new sessions either way
+  service.evaluate_batch(designs, nullptr);
+  service.evaluate_batch(designs, nullptr);  // all hits: no new sessions either way
   for (int i = 0; i < 8; ++i) designs[static_cast<std::size_t>(i)][0] = 0.5 + 0.01 * i;
-  service.evaluate_batch(designs);  // misses again: sessions come from the pool
+  service.evaluate_batch(designs, nullptr);  // misses again: sessions come from the pool
 
   const int created = problem.sessions_created.load();
   EXPECT_GE(created, 1);
@@ -381,7 +383,7 @@ TEST_F(ServiceFixture, SessionsDisabledNeverCreatesSessions) {
   EvalService service(problem, config);
   service.evaluate({0.1, 0.2, 0.3});
   std::vector<Vec> designs = {{0.3, 0.2, 0.1}, {0.4, 0.2, 0.1}};
-  service.evaluate_batch(designs);
+  service.evaluate_batch(designs, nullptr);
   EXPECT_EQ(problem.sessions_created.load(), 0);
 }
 
@@ -397,7 +399,7 @@ TEST(EvalServiceSessions, CircuitBatchThroughSessionsMatchesPointPath) {
   for (int i = 0; i < 3; ++i) designs.push_back(ota.random_design(rng));
   designs.push_back(designs[0]);  // duplicate: coalesces or hits
 
-  const auto results = service.evaluate_batch(designs);
+  const auto results = service.evaluate_batch(designs, nullptr);
   ASSERT_EQ(results.size(), designs.size());
   for (std::size_t i = 0; i < designs.size(); ++i) {
     const auto ref = ota.evaluate(designs[i]);
@@ -494,23 +496,22 @@ TEST(ServiceSweep, ThrowingVariantIsReportedFailedNotPropagated) {
   for (const auto& r : results) {
     EXPECT_FALSE(r.simulation_ok);
     EXPECT_EQ(r.metrics, faulty.failure_metrics());
+    EXPECT_EQ(r.failure_kind, ckt::FailureKind::Exception);
   }
 }
 
 TEST(ServiceSweep, SweepProblemOverServiceRunsBatched) {
-  // The full tentpole stack: VariationSweepProblem detects the service as a
-  // SweepBackend and fans corners through it, with per-variant caching.
+  // The full stack: VariationSweepProblem hands every sweep to the service's
+  // evaluate_variants, which fans corners out with per-variant caching.
   ckt::testing::VariedAnalytic varied;
   EvalServiceConfig config;
   config.num_threads = 4;
   EvalService service(varied, config);
   ckt::RobustProblem robust(service, ckt::RobustConfig{});
-  EXPECT_TRUE(robust.batched());
 
   const Vec x{0.25, 0.25};
   const auto via_service = robust.evaluate(x);
   ckt::RobustProblem serial(varied, ckt::RobustConfig{});
-  EXPECT_FALSE(serial.batched());
   const auto via_serial = serial.evaluate(x);
   ASSERT_TRUE(via_service.simulation_ok);
   EXPECT_EQ(via_service.metrics, via_serial.metrics);  // batched == serial, bitwise
@@ -521,6 +522,35 @@ TEST(ServiceSweep, SweepProblemOverServiceRunsBatched) {
   EXPECT_EQ(c.requested, 10u);
   EXPECT_EQ(c.hits, 5u);
   EXPECT_EQ(c.simulations, 5u);
+}
+
+/// Keeps every sweep-variant event.
+class VariantLog final : public obs::RunObserver {
+ public:
+  void on_sweep_variant_evaluated(const obs::SweepVariantEvaluated& event) override {
+    events.push_back(event);
+  }
+  std::vector<obs::SweepVariantEvaluated> events;
+};
+
+TEST(ServiceSweep, BatchedSweepReportsSimulatedVariantSeconds) {
+  // A cold cache makes the service simulate every variant of the sweep, so
+  // every variant event must carry that simulation's time, not 0.
+  ckt::TwoStageOta ota;
+  EvalServiceConfig config;
+  config.num_threads = 2;
+  EvalService service(ota, config);
+  ckt::YieldConfig yield_config;
+  yield_config.mismatch.instances = 6;
+  ckt::YieldProblem yield(service, yield_config);
+  VariantLog log;
+  yield.set_observer(&log);
+
+  maopt::Rng rng(5);
+  (void)yield.evaluate(ota.random_design(rng));
+  EXPECT_EQ(service.counters().simulations, 6u);
+  ASSERT_EQ(log.events.size(), 6u);
+  for (const auto& event : log.events) EXPECT_GT(event.seconds, 0.0) << event.label;
 }
 
 }  // namespace

@@ -12,6 +12,7 @@
 #include "circuits/analytic_problems.hpp"
 #include "core/ma_optimizer.hpp"
 #include "eval/eval_service.hpp"
+#include "obs/observer.hpp"
 
 namespace maopt::core {
 namespace {
@@ -49,14 +50,25 @@ struct WarmStartFixture : ::testing::Test {
     return std::make_unique<eval::EvalService>(problem, config);
   }
 
+  /// The initial set followed by `service`'s warm-start records.
+  std::vector<SimRecord> warmed(const eval::EvalService& service, std::size_t max = 256) const {
+    std::vector<SimRecord> start = initial;
+    for (SimRecord& r : warm_start_records(service, initial, service, *fom, max))
+      start.push_back(std::move(r));
+    return start;
+  }
+
   RunHistory run(const ckt::SizingProblem& target, std::uint64_t seed, std::size_t budget,
-                 bool warm = false) {
+                 const std::vector<SimRecord>& start, obs::RunObserver* observer = nullptr) {
     MaOptimizer opt(test_config(MaOptConfig::ma_opt()));
     RunOptions options;
     options.seed = seed;
     options.simulation_budget = budget;
-    options.warm_start = warm;
-    return opt.run(target, initial, *fom, options);
+    options.observer = observer;
+    return opt.run(target, start, *fom, options);
+  }
+  RunHistory run(const ckt::SizingProblem& target, std::uint64_t seed, std::size_t budget) {
+    return run(target, seed, budget, initial);
   }
 
   ckt::ConstrainedQuadratic problem{4};
@@ -76,7 +88,7 @@ TEST_F(WarmStartFixture, WarmRunDominatesColdRunAtEqualBudget) {
 
   const RunHistory cold = run(problem, 21, 12);
   auto service = make_service();  // fresh service, same journal on disk
-  const RunHistory warm = run(*service, 21, 12, /*warm=*/true);
+  const RunHistory warm = run(*service, 21, 12, warmed(*service));
 
   // The cached results were absorbed as extra initial samples.
   EXPECT_GT(warm.num_initial, cold.num_initial);
@@ -111,13 +123,15 @@ TEST_F(WarmStartFixture, SameSeedOverPopulatedCacheIsBitIdenticalWithHits) {
     EXPECT_EQ(second.best_fom_after[k], first.best_fom_after[k]);
 }
 
-TEST_F(WarmStartFixture, WarmStartIsNoOpOnBareProblem) {
+TEST_F(WarmStartFixture, WarmStartIsNoOpOnEmptyCache) {
+  auto service = make_service();  // no journal on disk yet
+  EXPECT_TRUE(warm_start_records(*service, initial, *service, *fom, 256).empty());
   const RunHistory plain = run(problem, 5, 10);
-  const RunHistory warmed = run(problem, 5, 10, /*warm=*/true);
-  EXPECT_EQ(warmed.num_initial, plain.num_initial);
-  ASSERT_EQ(warmed.records.size(), plain.records.size());
+  const RunHistory warm = run(*service, 5, 10, warmed(*service));
+  EXPECT_EQ(warm.num_initial, plain.num_initial);
+  ASSERT_EQ(warm.records.size(), plain.records.size());
   for (std::size_t i = 0; i < plain.records.size(); ++i)
-    EXPECT_EQ(warmed.records[i].x, plain.records[i].x);
+    EXPECT_EQ(warm.records[i].x, plain.records[i].x);
 }
 
 TEST_F(WarmStartFixture, WarmStartRespectsCapAndDeduplicates) {
@@ -126,15 +140,67 @@ TEST_F(WarmStartFixture, WarmStartRespectsCapAndDeduplicates) {
     run(*service, 11, 30);
   }
   auto service = make_service();
+  const std::vector<SimRecord> warm = warm_start_records(*service, initial, *service, *fom, 5);
+  EXPECT_LE(warm.size(), 5u);
+  EXPECT_GT(warm.size(), 0u);
+  for (const SimRecord& w : warm)
+    for (const SimRecord& r : initial) EXPECT_NE(w.x, r.x) << "warm record repeats the initial set";
+  for (std::size_t i = 1; i < warm.size(); ++i) EXPECT_LE(warm[i - 1].fom, warm[i].fom);
+
   RunOptions options;
   options.seed = 11;
   options.simulation_budget = 8;
-  options.warm_start = true;
-  options.warm_start_max = 5;
   MaOptimizer opt(test_config(MaOptConfig::ma_opt2()));
-  const RunHistory h = opt.run(*service, initial, *fom, options);
-  EXPECT_LE(h.num_initial, initial.size() + 5);
-  EXPECT_GT(h.num_initial, initial.size());
+  const RunHistory h = opt.run(*service, warmed(*service, 5), *fom, options);
+  EXPECT_EQ(h.num_initial, initial.size() + warm.size());
+}
+
+/// Pass-through decorator that knows nothing of services or batching: it
+/// forwards evaluate() only and relies on the SizingProblem defaults.
+class PassThrough final : public ckt::SizingProblem {
+ public:
+  explicit PassThrough(const ckt::SizingProblem& inner) : inner_(&inner) {}
+  const ckt::ProblemSpec& spec() const override { return inner_->spec(); }
+  std::size_t dim() const override { return inner_->dim(); }
+  const linalg::Vec& lower_bounds() const override { return inner_->lower_bounds(); }
+  const linalg::Vec& upper_bounds() const override { return inner_->upper_bounds(); }
+  const std::vector<bool>& integer_mask() const override { return inner_->integer_mask(); }
+  std::vector<std::string> parameter_names() const override { return inner_->parameter_names(); }
+  ckt::EvalResult evaluate(const linalg::Vec& x) const override { return inner_->evaluate(x); }
+
+ private:
+  const ckt::SizingProblem* inner_;
+};
+
+/// Keeps the simulation events and the final counters of a run.
+class SimLog final : public obs::RunObserver {
+ public:
+  void on_simulation_completed(const obs::SimulationCompleted& event) override {
+    sims.push_back(event);
+  }
+  void on_run_finished(const obs::RunFinished& event) override { counters = event.counters; }
+  std::vector<obs::SimulationCompleted> sims;
+  obs::RunCounters counters;
+};
+
+TEST_F(WarmStartFixture, DecoratorAboveServiceKeepsProvenance) {
+  auto service = make_service();
+  const RunHistory first = run(*service, 33, 18);
+
+  // Same seed again, through a decorator the optimizer cannot see past:
+  // every simulation is a cache hit, and the events must say so.
+  const PassThrough decorated(*service);
+  SimLog log;
+  const RunHistory second = run(decorated, 33, 18, initial, &log);
+  EXPECT_EQ(second.best_fom_after, first.best_fom_after);
+  ASSERT_EQ(log.sims.size(), 18u);
+  for (const auto& event : log.sims) {
+    EXPECT_TRUE(event.cache_hit) << "simulation " << event.index;
+    EXPECT_FALSE(event.coalesced) << "simulation " << event.index;
+  }
+  EXPECT_EQ(log.counters.simulations, 18u);
+  EXPECT_EQ(log.counters.cache_hits, log.counters.simulations);
+  EXPECT_EQ(log.counters.cache_misses, 0u);
 }
 
 }  // namespace

@@ -151,22 +151,12 @@ TEST_F(RunApiFixture, NullObserverLeavesTrajectoriesBitIdentical) {
     observed.observer = &sink;
     const RunHistory with_obs = plain->run(problem, initial, *fom, observed);
 
-    // Legacy 5-argument entry point must hit the identical path. It is
-    // deprecated (PR 9) but stays for one release; this is its last caller.
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-    const RunHistory legacy = plain->run(problem, initial, *fom, 11, 10);
-#pragma GCC diagnostic pop
-
     ASSERT_EQ(base.records.size(), with_obs.records.size()) << plain->name();
-    ASSERT_EQ(base.records.size(), legacy.records.size()) << plain->name();
     for (std::size_t i = 0; i < base.records.size(); ++i) {
       EXPECT_EQ(base.records[i].x, with_obs.records[i].x) << plain->name();
-      EXPECT_EQ(base.records[i].x, legacy.records[i].x) << plain->name();
       EXPECT_DOUBLE_EQ(base.records[i].fom, with_obs.records[i].fom) << plain->name();
     }
     EXPECT_EQ(base.best_fom_after, with_obs.best_fom_after) << plain->name();
-    EXPECT_EQ(base.best_fom_after, legacy.best_fom_after) << plain->name();
   }
 }
 

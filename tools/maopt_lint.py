@@ -33,6 +33,11 @@ Enforces invariants that generic clang-tidy checks cannot express:
                        src/spice/parser.cpp — user-facing numbers must go
                        through spice::parse_spice_value so "2meg"/"100f"
                        engineering suffixes mean the same thing everywhere.
+  downcast             no dynamic_cast in src/core, src/eval or src/circuits.
+                       How a result was produced travels in the EvalResult,
+                       and batching is a SizingProblem virtual, so every
+                       decorator composes; a downcast to a concrete layer
+                       silently stops working once anything wraps it.
   observer-bracketing  RunStarted/RunFinished bracket events are emitted
                        only by the Optimizer template method
                        (src/core/optimizer.cpp) and always as a pair; phase
@@ -395,6 +400,27 @@ def check_number_parse(sf: SourceFile) -> Iterator[Finding]:
             "'100f' -> 100); route user-facing numbers through "
             "spice::parse_spice_value, or justify a raw C-locale double with "
             "`// maopt-lint: allow(number-parse)`",
+        )
+
+
+DOWNCAST_SCOPES = ["src/core", "src/eval", "src/circuits"]
+DOWNCAST_RE = re.compile(r"\bdynamic_cast\s*<")
+
+
+@register_check(
+    "downcast",
+    "dynamic_cast in src/core, src/eval or src/circuits — provenance travels in EvalResult "
+    "and batching is a SizingProblem virtual",
+)
+def check_downcast(sf: SourceFile) -> Iterator[Finding]:
+    if not sf.in_dir(*DOWNCAST_SCOPES):
+        return
+    for m in DOWNCAST_RE.finditer(sf.masked):
+        yield from _emit(
+            sf, "downcast", m.start(),
+            "dynamic_cast to a concrete evaluation layer stops working as soon as a "
+            "decorator wraps it; read provenance from the EvalResult and override a "
+            "SizingProblem virtual (evaluate_batch / evaluate_variants) instead",
         )
 
 
