@@ -1,9 +1,9 @@
 // Training-hot-path regression benchmark (the perf record behind the
 // runtime rows): measures the GEMM kernels, Critic::train_round (serial and
 // partitioned over a pool) and CriticEnsemble::train_round on the paper net
-// (2 x 100 hidden, batch 32), and end-to-end MA-Opt simulations/s on an
-// analytic problem, then writes BENCH_train.json so the numbers are
-// versioned and future PRs can spot regressions.
+// (2 x 100 hidden, batch 32), then writes BENCH_train.json so the numbers
+// are versioned and future PRs can spot regressions. End-to-end throughput
+// lives in perfbench/ (the paper_ota workload).
 //
 // Flags:
 //   --smoke           tiny sizes / few reps (CTest wiring; seconds, not minutes)
@@ -144,27 +144,6 @@ int main(int argc, char** argv) {
                   ms);
       metrics.push_back({"ensemble_train_round_" + std::to_string(nthreads) + "t_ms", ms, "ms"});
     }
-  }
-
-  // --- 3) end-to-end MA-Opt throughput on the analytic problem ---
-  {
-    ckt::ConstrainedQuadratic problem(16);
-    Rng rng(5);
-    const auto init = core::sample_initial_set(problem, smoke ? 10 : 40, rng);
-    std::vector<linalg::Vec> rows;
-    rows.reserve(init.size());
-    for (const auto& r : init) rows.push_back(r.metrics);
-    const auto fom = ckt::FomEvaluator::fit_reference(problem, rows);
-    const std::size_t budget = smoke ? 6 : 60;
-
-    core::MaOptimizer opt(core::MaOptConfig::ma_opt());
-    const auto t0 = Clock::now();
-    const auto h = opt.run(problem, init, fom, {.seed = 7, .simulation_budget = budget});
-    const double s = seconds_since(t0);
-    const double iters_per_s = static_cast<double>(h.simulations_used()) / s;
-    std::printf("ma_opt end-to-end: %.2f sims/s (%zu sims, train %.2fs)\n", iters_per_s,
-                h.simulations_used(), h.train_seconds);
-    metrics.push_back({"end_to_end_iters_per_s", iters_per_s, "sims/s"});
   }
 
   bench::write_bench_json(json_path, metrics);

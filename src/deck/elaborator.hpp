@@ -1,8 +1,9 @@
-// Deck elaboration: the full-strength SPICE frontend behind DeckProblem.
+// Deck elaboration: the one SPICE frontend, behind DeckProblem, the daemon
+// and minispice.
 //
-// Where spice::parse_netlist turns a flat element list into a Netlist,
-// elaboration handles everything a real deck throws at it and produces a
-// *symbolic* card list instead of a wired netlist:
+// Elaboration handles everything a real deck throws at it and produces a
+// *symbolic* card list instead of a wired netlist (deck_problem.hpp's
+// build_nominal_netlist wires it at the nominal .param values):
 //
 //   * .include / .lib       — resolved relative to the including file, with
 //                             canonical-path cycle detection and a depth cap,

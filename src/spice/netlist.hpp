@@ -196,8 +196,9 @@ class Netlist {
   std::size_t system_size() const { return system_size_; }
   const std::vector<std::unique_ptr<Device>>& devices() const { return devices_; }
 
-  /// Optional human-readable device labels (set by the parser, used by
-  /// diagnostic reports). Unknown devices map to "".
+  /// Optional human-readable device labels (the deck's element names, set
+  /// when a deck is built; used by diagnostic reports). Unknown devices map
+  /// to "".
   void set_label(const Device* device, std::string label);
   const std::string& label(const Device* device) const;
   /// Reverse node lookup for reports ("" for unnamed / ground).

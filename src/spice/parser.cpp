@@ -1,81 +1,20 @@
 #include "spice/parser.hpp"
 
-#include <algorithm>
 #include <cctype>
 #include <cmath>
-#include <sstream>
 
 namespace maopt::spice {
 
 namespace {
 
-std::string upper(std::string s) {
-  std::transform(s.begin(), s.end(), s.begin(),
-                 [](unsigned char c) { return static_cast<char>(std::toupper(c)); });
-  return s;
-}
-
-/// Splits a line into tokens, treating '(' ')' ',' '=' as separators but
-/// keeping '=' pairs reconstructible: "W=10u" -> "W", "=", "10u".
-std::vector<std::string> tokenize(const std::string& line) {
-  std::vector<std::string> tokens;
-  std::string cur;
-  auto flush = [&] {
-    if (!cur.empty()) {
-      tokens.push_back(cur);
-      cur.clear();
-    }
-  };
-  for (const char c : line) {
-    if (std::isspace(static_cast<unsigned char>(c)) || c == '(' || c == ')' || c == ',') {
-      flush();
-    } else if (c == '=') {
-      flush();
-      tokens.emplace_back("=");
-    } else {
-      cur.push_back(c);
-    }
-  }
-  flush();
-  return tokens;
-}
-
-/// key=value map from tokens[start..]; returns consumed tokens count.
-std::map<std::string, std::string> parse_kv(const std::vector<std::string>& tokens,
-                                            std::size_t start, int line) {
-  std::map<std::string, std::string> kv;
-  std::size_t i = start;
-  while (i < tokens.size()) {
-    if (i + 2 < tokens.size() + 1 && i + 1 < tokens.size() && tokens[i + 1] == "=") {
-      if (i + 2 >= tokens.size()) throw ParseError(line, "missing value after '" + tokens[i] + "='");
-      kv[upper(tokens[i])] = tokens[i + 2];
-      i += 3;
-    } else {
-      throw ParseError(line, "expected key=value, got '" + tokens[i] + "'");
-    }
-  }
-  return kv;
-}
-
-}  // namespace
-
-double parse_spice_value(const std::string& token) {
-  if (token.empty()) throw std::invalid_argument("empty value");
-  std::size_t pos = 0;
-  double v;
-  try {
-    v = std::stod(token, &pos);
-  } catch (const std::exception&) {
-    throw std::invalid_argument("malformed value '" + token + "'");
-  }
-  std::string suffix = upper(token.substr(pos));
+/// Scales `v` by an engineering suffix (upper-cased, possibly followed by
+/// unit letters). Multi-letter suffixes first — "MEG"/"MIL" must win over
+/// milli even with trailing unit letters ("2MEGHz", "5milInch"); trailing
+/// unit letters are otherwise ignored SPICE-style ("10pF" == "10p").
+double scale(double v, const std::string& suffix, const std::string& token) {
   if (suffix.empty()) return v;
-  // Multi-letter suffixes first — "MEG"/"MIL" must win over milli even with
-  // trailing unit letters ("2MEGHz", "5milInch").
   if (suffix.compare(0, 3, "MEG") == 0) return v * 1e6;
   if (suffix.compare(0, 3, "MIL") == 0) return v * 25.4e-6;
-  // Single-letter engineering suffixes; trailing unit letters are ignored
-  // SPICE-style ("10pF" == "10p").
   switch (suffix[0]) {
     case 'T': return v * 1e12;
     case 'G': return v * 1e9;
@@ -90,182 +29,22 @@ double parse_spice_value(const std::string& token) {
   }
 }
 
-ParsedNetlist parse_netlist(const std::string& deck) {
-  ParsedNetlist out;
-  std::istringstream stream(deck);
-  std::string raw;
-  int line_no = 0;
+}  // namespace
 
-  auto node = [&](const std::string& name) { return out.netlist.node(name); };
-
-  while (std::getline(stream, raw)) {
-    ++line_no;
-    // Strip comments and whitespace.
-    const auto semi = raw.find(';');
-    if (semi != std::string::npos) raw = raw.substr(0, semi);
-    std::vector<std::string> t = tokenize(raw);
-    if (t.empty() || t[0][0] == '*') continue;
-
-    const std::string name = upper(t[0]);
-
-    if (name == ".MODEL") {
-      if (t.size() < 3) throw ParseError(line_no, ".model needs a name and a type");
-      MosModel model;
-      const std::string type = upper(t[2]);
-      if (type == "NMOS")
-        model = MosModel::nmos_180();
-      else if (type == "PMOS")
-        model = MosModel::pmos_180();
-      else
-        throw ParseError(line_no, "unknown model type '" + t[2] + "'");
-      const auto kv = parse_kv(t, 3, line_no);
-      for (const auto& [key, value] : kv) {
-        const double v = parse_spice_value(value);
-        if (key == "VTO")
-          model.vth0 = v;
-        else if (key == "KP")
-          model.kp = v;
-        else if (key == "LAMBDAL")
-          model.lambda_l = v;
-        else if (key == "COX")
-          model.cox = v;
-        else if (key == "COV")
-          model.cov = v;
-        else if (key == "CJW")
-          model.cj_w = v;
-        else if (key == "KF")
-          model.kf = v;
-        else if (key == "GAMMA")
-          model.gamma = v;
-        else if (key == "PHI")
-          model.phi = v;
-        else if (key == "NSS") {
-          model.subthreshold = true;
-          model.n_ss = v;
-        }
-        else
-          throw ParseError(line_no, "unknown model parameter '" + key + "'");
-      }
-      out.models[upper(t[1])] = model;
-      continue;
-    }
-    if (name == ".END") break;  // end of deck — anything after it is not parsed
-    if (name[0] == '.') {
-      // Unknown dot-cards are almost always a typo or a feature the caller
-      // meant to use (deck::elaborate_deck_* handles the full card set) —
-      // warn instead of dropping them without a trace.
-      out.warnings.push_back("line " + std::to_string(line_no) + ": ignoring unsupported card '" +
-                             t[0] + "'");
-      continue;
-    }
-
-    try {
-      switch (name[0]) {
-        case 'R': {
-          if (t.size() != 4) throw ParseError(line_no, "R: expected Rname n1 n2 value");
-          out.devices[name] =
-              out.netlist.add<Resistor>(node(t[1]), node(t[2]), parse_spice_value(t[3]));
-          break;
-        }
-        case 'C': {
-          if (t.size() != 4) throw ParseError(line_no, "C: expected Cname n1 n2 value");
-          out.devices[name] =
-              out.netlist.add<Capacitor>(node(t[1]), node(t[2]), parse_spice_value(t[3]));
-          break;
-        }
-        case 'L': {
-          if (t.size() != 4) throw ParseError(line_no, "L: expected Lname n1 n2 value");
-          out.devices[name] =
-              out.netlist.add<Inductor>(node(t[1]), node(t[2]), parse_spice_value(t[3]));
-          break;
-        }
-        case 'V':
-        case 'I': {
-          if (t.size() < 3) throw ParseError(line_no, "source needs two nodes");
-          Waveform wave = Waveform::dc(0.0);
-          double ac_mag = 0.0;
-          std::size_t i = 3;
-          // Bare value shorthand: "V1 a 0 1.8".
-          if (i < t.size() && upper(t[i]) != "DC" && upper(t[i]) != "AC" &&
-              upper(t[i]) != "PULSE" && upper(t[i]) != "PWL") {
-            wave = Waveform::dc(parse_spice_value(t[i]));
-            ++i;
-          }
-          while (i < t.size()) {
-            const std::string kw = upper(t[i]);
-            if (kw == "DC") {
-              if (i + 1 >= t.size()) throw ParseError(line_no, "DC needs a value");
-              wave = Waveform::dc(parse_spice_value(t[i + 1]));
-              i += 2;
-            } else if (kw == "AC") {
-              if (i + 1 >= t.size()) throw ParseError(line_no, "AC needs a magnitude");
-              ac_mag = parse_spice_value(t[i + 1]);
-              i += 2;
-            } else if (kw == "PULSE") {
-              if (i + 7 >= t.size()) throw ParseError(line_no, "PULSE needs 7 arguments");
-              wave = Waveform::pulse(parse_spice_value(t[i + 1]), parse_spice_value(t[i + 2]),
-                                     parse_spice_value(t[i + 3]), parse_spice_value(t[i + 4]),
-                                     parse_spice_value(t[i + 5]), parse_spice_value(t[i + 6]),
-                                     parse_spice_value(t[i + 7]));
-              i += 8;
-            } else if (kw == "PWL") {
-              std::vector<std::pair<double, double>> points;
-              ++i;
-              while (i < t.size() && upper(t[i]) != "DC" && upper(t[i]) != "AC") {
-                if (i + 1 >= t.size()) throw ParseError(line_no, "PWL needs time/value pairs");
-                points.emplace_back(parse_spice_value(t[i]), parse_spice_value(t[i + 1]));
-                i += 2;
-              }
-              if (points.empty()) throw ParseError(line_no, "PWL needs at least one pair");
-              wave = Waveform::pwl(std::move(points));
-            } else {
-              throw ParseError(line_no, "unknown source keyword '" + t[i] + "'");
-            }
-          }
-          if (name[0] == 'V')
-            out.devices[name] = out.netlist.add<VSource>(node(t[1]), node(t[2]), wave, ac_mag);
-          else
-            out.devices[name] = out.netlist.add<ISource>(node(t[1]), node(t[2]), wave, ac_mag);
-          break;
-        }
-        case 'E': {
-          if (t.size() != 6) throw ParseError(line_no, "E: expected Ename p n cp cn gain");
-          out.devices[name] = out.netlist.add<Vcvs>(node(t[1]), node(t[2]), node(t[3]),
-                                                    node(t[4]), parse_spice_value(t[5]));
-          break;
-        }
-        case 'M': {
-          if (t.size() < 6) throw ParseError(line_no, "M: expected Mname d g s b model [kv...]");
-          const auto model_it = out.models.find(upper(t[5]));
-          if (model_it == out.models.end())
-            throw ParseError(line_no, "unknown model '" + t[5] + "' (missing .model card?)");
-          double w = 1e-6, l = 1e-6, m = 1.0;
-          for (const auto& [key, value] : parse_kv(t, 6, line_no)) {
-            const double v = parse_spice_value(value);
-            if (key == "W")
-              w = v;
-            else if (key == "L")
-              l = v;
-            else if (key == "M")
-              m = v;
-            else
-              throw ParseError(line_no, "unknown MOSFET parameter '" + key + "'");
-          }
-          out.devices[name] = out.netlist.add<Mosfet>(node(t[1]), node(t[2]), node(t[3]),
-                                                      node(t[4]), model_it->second, w, l, m);
-          break;
-        }
-        default:
-          throw ParseError(line_no, "unknown element '" + t[0] + "'");
-      }
-    } catch (const std::invalid_argument& e) {
-      throw ParseError(line_no, e.what());
-    }
-    if (const auto it = out.devices.find(name); it != out.devices.end())
-      out.netlist.set_label(it->second, name);
+double parse_spice_value(const std::string& token) {
+  if (token.empty()) throw std::invalid_argument("empty value");
+  std::size_t pos = 0;
+  double v;
+  try {
+    v = std::stod(token, &pos);
+  } catch (const std::exception&) {
+    throw std::invalid_argument("malformed value '" + token + "'");
   }
-  out.netlist.prepare();
-  return out;
+  std::string suffix = token.substr(pos);
+  for (char& c : suffix) c = static_cast<char>(std::toupper(static_cast<unsigned char>(c)));
+  const double scaled = scale(v, suffix, token);
+  if (!std::isfinite(scaled)) throw std::invalid_argument("non-finite value '" + token + "'");
+  return scaled;
 }
 
 }  // namespace maopt::spice

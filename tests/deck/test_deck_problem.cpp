@@ -7,6 +7,7 @@
 
 #include "spice/ac_analysis.hpp"
 #include "spice/dc_analysis.hpp"
+#include "spice/devices.hpp"
 #include "spice/measure.hpp"
 #include "spice/mosfet.hpp"
 #include "spice/netlist.hpp"
@@ -202,6 +203,18 @@ R1 in 0 1k
 )",
                                       "param R2VAL lower=1 upper=2\nminimize V1\n"),
                std::invalid_argument);
+}
+
+TEST(DeckProblem, NonFiniteSpecBoundRejected) {
+  for (const std::string upper : {"inf", "nan", "1e308k"}) {
+    try {
+      DeckProblem::from_text(kDividerDeck,
+                             "param R2VAL lower=100 upper=" + upper + "\nminimize {1 - VOUT}\n");
+      FAIL() << "upper=" << upper << " compiled";
+    } catch (const spice::ParseError& e) {
+      EXPECT_EQ(e.line(), 1) << e.what();
+    }
+  }
 }
 
 TEST(DeckProblem, DesignableDrivingFixedFieldRejected) {

@@ -5,29 +5,9 @@
 #include "spice/dc_analysis.hpp"
 #include "spice/dc_sweep.hpp"
 #include "spice/devices.hpp"
-#include "spice/parser.hpp"
 
 namespace maopt::spice {
 namespace {
-
-TEST(OpReport, NamesRegionsAndCurrentsFromParsedDeck) {
-  auto parsed = parse_netlist(R"(
-.model n180 NMOS
-VDD vdd 0 1.8
-VIN in 0 0.7
-RL vdd out 5k
-M1 out in 0 0 n180 W=20u L=1u
-)");
-  DcAnalysis dc;
-  const auto op = dc.solve(parsed.netlist);
-  ASSERT_TRUE(op.converged);
-  const std::string report = operating_point_report(parsed.netlist, op.x);
-  EXPECT_NE(report.find("M1"), std::string::npos);
-  EXPECT_NE(report.find("saturation"), std::string::npos);
-  EXPECT_NE(report.find("RL"), std::string::npos);
-  EXPECT_NE(report.find("VDD"), std::string::npos);
-  EXPECT_NE(report.find("V(out)"), std::string::npos);
-}
 
 TEST(OpReport, UnlabeledDevicesGetIndexedFallbackNames) {
   Netlist n;
@@ -65,25 +45,6 @@ TEST(DcSweepAnalysis, DividerTransferIsLinear) {
   const auto curve = result.node_curve(mid);
   for (std::size_t k = 0; k < grid.size(); ++k)
     EXPECT_NEAR(curve[k], 0.5 * grid[k], 1e-6) << k;
-}
-
-TEST(DcSweepAnalysis, WarmStartTracksNonlinearCurve) {
-  // MOS inverter transfer curve: must be monotone decreasing and converged
-  // at every point thanks to warm starting.
-  auto parsed = parse_netlist(R"(
-.model n180 NMOS
-VDD vdd 0 1.8
-VIN in 0 0
-RL vdd out 10k
-M1 out in 0 0 n180 W=10u L=0.5u
-)");
-  auto* vin = parsed.device<VSource>("VIN");
-  DcSweep sweep;
-  const auto grid = DcSweep::linear_grid(0.0, 1.8, 19);
-  const auto result = sweep.run(parsed.netlist, grid, [&](double v) { vin->set_dc(v); });
-  ASSERT_TRUE(result.all_converged);
-  const auto curve = result.node_curve(parsed.netlist.find_node("out"));
-  for (std::size_t k = 1; k < curve.size(); ++k) EXPECT_LE(curve[k], curve[k - 1] + 1e-9);
 }
 
 }  // namespace
