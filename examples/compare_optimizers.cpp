@@ -47,8 +47,9 @@ int main(int argc, char** argv) {
   std::unique_ptr<serve::ServiceStack> stack;
   const ckt::SizingProblem* eval_target = problem.get();
   if (!cache_dir.empty() || warm_start) {
-    stack = std::make_unique<serve::ServiceStack>(
-        *problem, serve::ServiceConfig::builder().cache_dir(cache_dir).build());
+    eval::EvalServiceConfig service_config;
+    service_config.cache_dir = cache_dir;
+    stack = std::make_unique<serve::ServiceStack>(*problem, service_config);
     eval_target = &stack->service();
   }
 

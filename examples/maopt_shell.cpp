@@ -124,7 +124,7 @@ int main(int argc, char** argv) {
   config.scheduler.capacity = static_cast<std::size_t>(args.get_int("capacity", 0));
   config.scheduler.quantum = static_cast<std::size_t>(args.get_int("quantum", 8));
   config.observer = job_events.get();
-  if (fault_rate > 0.0) config.service.resilient = true;  // retries absorb injected faults
+  if (fault_rate > 0.0) config.resilient.emplace();  // retries absorb injected faults
   serve::OptDaemon daemon(config);
 
   daemon.add_problem("ota", ota);

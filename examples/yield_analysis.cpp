@@ -76,21 +76,22 @@ int main(int argc, char** argv) {
     return 2;
   }
 
-  // The stack: real OTA, seeded fault injection, batched evaluation service —
-  // assembled from one validated ServiceConfig instead of per-layer structs.
+  // The stack: real OTA, seeded fault injection, batched evaluation service.
   ckt::TwoStageOta ota;
   const ckt::FaultInjectingProblem faulty(
       ota, ckt::FaultInjectionConfig::mixed(fault_rate, seed + 0xFA));
-  const auto service_config = serve::ServiceConfig::builder()
-                                  .threads(threads)
-                                  .failure_policy(failure_policy)
-                                  .yield_target(yield_target)
-                                  .build();
+  eval::EvalServiceConfig service_config;
+  service_config.num_threads = threads;
   const serve::ServiceStack stack(faulty, service_config);
   const eval::EvalService& service = stack.service();
 
+  // One sweep policy for both workloads; each sweep problem validates it.
+  ckt::SweepPolicyConfig sweep_policy;
+  sweep_policy.failure_policy = failure_policy;
+  sweep_policy.yield_target = yield_target;
+
   ckt::RobustConfig robust_config;
-  robust_config.policy = service_config.sweep;
+  robust_config.policy = sweep_policy;
   ckt::RobustProblem robust(service, robust_config);
 
   std::unique_ptr<obs::JsonlObserver> sink;
@@ -128,7 +129,7 @@ int main(int argc, char** argv) {
   yield_config.mismatch.instances = mc;
   yield_config.mismatch.sigma_vth = sigma_vth;
   yield_config.mismatch.sigma_kp_rel = sigma_kp;
-  yield_config.policy = service_config.sweep;  // failure policy + yield target
+  yield_config.policy = sweep_policy;  // failure policy + yield target
   ckt::YieldProblem yield(service, yield_config);
   if (sink) yield.set_observer(sink.get());
 

@@ -1,5 +1,6 @@
 #include "circuits/resilient_problem.hpp"
 
+#include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
@@ -36,8 +37,14 @@ bool all_plausible(const Vec& v, double max_magnitude) {
   return true;
 }
 
+/// Longest deadline a wait honours: 1e9 s (about 32 years) is 1e18 ns, so
+/// steady_clock::now() + the duration stays inside the clock's 64-bit
+/// nanosecond range (about 292 years). Longer deadlines saturate here.
+constexpr double kMaxDeadlineSeconds = 1e9;
+
 std::chrono::nanoseconds to_duration(double seconds) {
-  return std::chrono::nanoseconds(static_cast<long long>(seconds * 1e9));
+  return std::chrono::nanoseconds(
+      static_cast<long long>(std::min(seconds, kMaxDeadlineSeconds) * 1e9));
 }
 
 }  // namespace
@@ -59,11 +66,13 @@ std::string FailureStats::report() const {
 
 ResilientEvaluator::ResilientEvaluator(const SizingProblem& inner, ResilientConfig config)
     : inner_(&inner), config_(config) {
+  MAOPT_CHECK(std::isfinite(config_.deadline_seconds) && config_.deadline_seconds >= 0.0,
+              "ResilientEvaluator: deadline_seconds must be finite and >= 0 (0 disables)");
   MAOPT_CHECK(config_.max_retries >= 0, "ResilientEvaluator: max_retries must be >= 0");
-  MAOPT_CHECK(config_.retry_jitter_frac >= 0.0,
-              "ResilientEvaluator: retry_jitter_frac must be >= 0");
-  MAOPT_CHECK(config_.max_metric_magnitude > 0.0,
-              "ResilientEvaluator: max_metric_magnitude must be > 0");
+  MAOPT_CHECK(std::isfinite(config_.retry_jitter_frac) && config_.retry_jitter_frac >= 0.0,
+              "ResilientEvaluator: retry_jitter_frac must be finite and >= 0");
+  MAOPT_CHECK(std::isfinite(config_.max_metric_magnitude) && config_.max_metric_magnitude > 0.0,
+              "ResilientEvaluator: max_metric_magnitude must be finite and > 0");
 }
 
 ResilientEvaluator::~ResilientEvaluator() {

@@ -34,8 +34,9 @@
 namespace maopt::ckt {
 
 struct ResilientConfig {
-  /// Per-attempt wall-clock deadline in seconds; <= 0 disables the deadline
-  /// (the attempt runs inline on the calling thread).
+  /// Per-attempt wall-clock deadline in seconds, finite and >= 0; 0 disables
+  /// the deadline (the attempt runs inline on the calling thread). Waits
+  /// longer than 1e9 s are capped there.
   double deadline_seconds = 0.0;
   /// Additional attempts after the first failed one.
   int max_retries = 2;
@@ -104,7 +105,7 @@ class ResilientEvaluator final : public SizingProblem {
   std::uint64_t content_fingerprint() const override { return inner_->content_fingerprint(); }
 
   /// Persistent-session support: wraps the inner problem's session in the
-  /// same retry/scrub logic — but only when deadline_seconds <= 0, where
+  /// same retry/scrub logic — but only when deadline_seconds is 0, where
   /// attempts run inline on the calling thread. With a deadline, a timed-out
   /// attempt keeps running on a detached thread and would race any reused
   /// session state, so the default per-call forwarding session is returned

@@ -105,7 +105,7 @@ struct EvalResult {
   Vec metrics;
   bool simulation_ok = true;
   bool degraded = false;              ///< partial-failure policy shaped the metrics
-  std::uint32_t variants_failed = 0;  ///< failed or breaker-skipped variants
+  std::uint32_t variants_failed = 0;  ///< variants without usable metrics
   std::uint32_t variants_total = 0;   ///< sweep width; 0 = single-point result
 
   std::uint32_t retries = 0;  ///< resilient-layer attempts beyond the first

@@ -64,14 +64,12 @@ const char* to_string(SweepFailurePolicy policy) {
 std::string SweepStats::report() const {
   char buf[192];
   std::snprintf(buf, sizeof buf,
-                "%llu sweeps (%llu degraded, %llu failed), variants: %llu ok / %llu failed / "
-                "%llu skipped",
+                "%llu sweeps (%llu degraded, %llu failed), variants: %llu ok / %llu failed",
                 static_cast<unsigned long long>(sweeps),
                 static_cast<unsigned long long>(degraded_sweeps),
                 static_cast<unsigned long long>(failed_sweeps),
                 static_cast<unsigned long long>(variants_ok),
-                static_cast<unsigned long long>(variants_failed),
-                static_cast<unsigned long long>(variants_skipped));
+                static_cast<unsigned long long>(variants_failed));
   return buf;
 }
 
@@ -96,14 +94,8 @@ VariationSweepProblem::VariationSweepProblem(const SizingProblem& inner,
               "VariationSweepProblem: yield_target must be in (0, 1]");
   MAOPT_CHECK(policy_.min_ok_fraction >= 0.0 && policy_.min_ok_fraction <= 1.0,
               "VariationSweepProblem: min_ok_fraction must be in [0, 1]");
-  MAOPT_CHECK(policy_.breaker.trip_after >= 0,
-              "VariationSweepProblem: breaker.trip_after must be >= 0");
-  MAOPT_CHECK(policy_.breaker.trip_after == 0 || policy_.breaker.cooldown >= 1,
-              "VariationSweepProblem: breaker.cooldown must be >= 1 when breakers are enabled");
-  if (policy_.breaker.trip_after > 0) {
-    const MutexLock lock(breaker_mutex_);
-    breakers_.resize(variants_.size());
-  }
+  pvs_.reserve(variants_.size());
+  for (const SweepVariant& v : variants_) pvs_.push_back(v.pv);
 }
 
 Vec VariationSweepProblem::aggregate(const std::vector<const Vec*>& contributing) const {
@@ -149,77 +141,28 @@ EvalResult VariationSweepProblem::evaluate(const Vec& x) const {
   const std::size_t n = variants_.size();
   const Stopwatch sweep_timer;
 
-  // Breaker gate: decide up front which variants this sweep skips. With
-  // breakers disabled (default) this is branch-free and lock-free.
-  std::vector<bool> skip(n, false);
-  if (policy_.breaker.trip_after > 0) {
-    const MutexLock lock(breaker_mutex_);
-    for (std::size_t i = 0; i < n; ++i) {
-      BreakerState& b = breakers_[i];
-      if (!b.open) continue;
-      if (b.cooldown_left > 0) {
-        --b.cooldown_left;
-        skip[i] = true;  // still cooling down
-      }
-      // cooldown exhausted: half-open — attempt this variant once.
-    }
-  }
-
-  // Evaluate the non-skipped variants in one call: batched when the inner
-  // problem is an eval::EvalService, serial through evaluate_at otherwise.
-  std::vector<ProcessVariation> pvs;
-  std::vector<std::size_t> index;
-  pvs.reserve(n);
-  index.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    if (skip[i]) continue;
-    pvs.push_back(variants_[i].pv);
-    index.push_back(i);
-  }
-  std::vector<EvalResult> batch = inner_->evaluate_variants(x, pvs);
-  MAOPT_CHECK(batch.size() == pvs.size(),
+  // Evaluate every variant in one call: batched when the inner problem is an
+  // eval::EvalService, serial through evaluate_at otherwise.
+  const std::vector<EvalResult> results = inner_->evaluate_variants(x, pvs_);
+  MAOPT_CHECK(results.size() == n,
               "VariationSweepProblem: evaluate_variants returned a mis-sized batch");
-  std::vector<EvalResult> results(n);
-  for (std::size_t k = 0; k < index.size(); ++k) results[index[k]] = std::move(batch[k]);
 
-  // Classify, then update breaker state from this sweep's attempts.
   const std::size_t m = num_metrics();
   std::vector<bool> usable(n, false);
   std::size_t ok_count = 0;
   for (std::size_t i = 0; i < n; ++i) {
-    usable[i] = !skip[i] && variant_usable(results[i], m);
+    usable[i] = variant_usable(results[i], m);
     if (usable[i]) ++ok_count;
   }
-  if (policy_.breaker.trip_after > 0) {
-    const MutexLock lock(breaker_mutex_);
-    for (std::size_t i = 0; i < n; ++i) {
-      if (skip[i]) continue;
-      BreakerState& b = breakers_[i];
-      if (usable[i]) {
-        b.consecutive_failures = 0;
-        b.open = false;
-      } else {
-        ++b.consecutive_failures;
-        if (b.consecutive_failures >= policy_.breaker.trip_after) {
-          b.open = true;
-          b.cooldown_left = policy_.breaker.cooldown;
-        }
-      }
-    }
-  }
-
-  const std::size_t skipped_count =
-      static_cast<std::size_t>(std::count(skip.begin(), skip.end(), true));
-  const std::size_t failed_count = n - ok_count - skipped_count;
-  const std::size_t down_count = n - ok_count;  // failed + skipped
+  const std::size_t failed_count = n - ok_count;
 
   // Apply the partial-failure policy and aggregate.
   EvalResult out;
   out.variants_total = static_cast<std::uint32_t>(n);
-  out.variants_failed = static_cast<std::uint32_t>(down_count);
+  out.variants_failed = static_cast<std::uint32_t>(failed_count);
   const Vec penalty = inner_->failure_metrics();
   if (ok_count == 0 ||
-      (down_count > 0 && policy_.failure_policy == SweepFailurePolicy::FailFast) ||
+      (failed_count > 0 && policy_.failure_policy == SweepFailurePolicy::FailFast) ||
       (policy_.failure_policy == SweepFailurePolicy::ConservativeBound &&
        static_cast<double>(ok_count) <
            policy_.min_ok_fraction * static_cast<double>(n))) {
@@ -234,17 +177,16 @@ EvalResult VariationSweepProblem::evaluate(const Vec& x) const {
       } else if (policy_.failure_policy == SweepFailurePolicy::PenalizeFailedVariant) {
         contributing.push_back(&penalty);
       }
-      // ConservativeBound: failed/skipped variants simply drop out.
+      // ConservativeBound: failed variants simply drop out.
     }
     out.metrics = aggregate(contributing);
     out.simulation_ok = true;
-    out.degraded = down_count > 0;
+    out.degraded = failed_count > 0;
   }
 
   sweeps_.fetch_add(1, std::memory_order_relaxed);
   variants_ok_.fetch_add(ok_count, std::memory_order_relaxed);
   variants_failed_.fetch_add(failed_count, std::memory_order_relaxed);
-  variants_skipped_.fetch_add(skipped_count, std::memory_order_relaxed);
   if (out.degraded) degraded_sweeps_.fetch_add(1, std::memory_order_relaxed);
   if (!out.simulation_ok) failed_sweeps_.fetch_add(1, std::memory_order_relaxed);
 
@@ -265,7 +207,6 @@ EvalResult VariationSweepProblem::evaluate(const Vec& x) const {
       ev.variant = i;
       ev.label = variants_[i].label;
       ev.ok = usable[i];
-      ev.skipped = skip[i];
       ev.fom0 = usable[i] ? results[i].metrics[0] : 0.0;
       ev.seconds = results[i].seconds;
       observer_->on_sweep_variant_evaluated(ev);
@@ -274,7 +215,6 @@ EvalResult VariationSweepProblem::evaluate(const Vec& x) const {
     done.sweep_id = id;
     done.variants_ok = ok_count;
     done.variants_failed = failed_count;
-    done.variants_skipped = skipped_count;
     done.degraded = out.degraded;
     done.policy = to_string(policy_.failure_policy);
     done.seconds = total_seconds;
@@ -291,7 +231,6 @@ SweepStats VariationSweepProblem::stats() const {
   s.failed_sweeps = failed_sweeps_.load(std::memory_order_relaxed);
   s.variants_ok = variants_ok_.load(std::memory_order_relaxed);
   s.variants_failed = variants_failed_.load(std::memory_order_relaxed);
-  s.variants_skipped = variants_skipped_.load(std::memory_order_relaxed);
   return s;
 }
 

@@ -24,14 +24,10 @@
 //     failed/total counts) rides along in the EvalResult and in corner-tagged
 //     RunObserver sweep events.
 //
-// Determinism contract: with circuit breakers disabled (the default), the
-// aggregate for a design is a pure function of (design, variant list,
-// policy) — independent of thread scheduling, caching, and call order — so
-// optimizer trajectories driven through a sweep problem replay bit-identical
-// from checkpoints. Breakers keep per-variant mutable state across calls;
-// they remain deterministic under a sequential driver but are scheduling-
-// dependent when the optimizer evaluates designs concurrently, which is why
-// they are opt-in.
+// Determinism contract: the aggregate for a design is a pure function of
+// (design, variant list, policy) — independent of thread scheduling,
+// caching, and call order — so optimizer trajectories driven through a sweep
+// problem replay bit-identical from checkpoints.
 //
 // RobustProblem (corners) and YieldProblem (Monte Carlo mismatch) in
 // robust_problem.hpp are the two concrete sweeps.
@@ -94,25 +90,12 @@ enum class SweepFailurePolicy : std::uint8_t {
 };
 const char* to_string(SweepFailurePolicy policy);
 
-/// Per-variant circuit breaker: after `trip_after` consecutive failures of
-/// one variant (across sweeps), that variant is skipped for `cooldown`
-/// sweeps, then retried half-open (one success closes the breaker, one
-/// failure re-trips it). Skipped variants count as failed for the policy.
-/// trip_after = 0 disables breakers entirely — the default, because breaker
-/// state is shared across calls and therefore scheduling-dependent when the
-/// driver evaluates designs concurrently (see file header).
-struct SweepBreakerConfig {
-  int trip_after = 0;
-  int cooldown = 4;
-};
-
 struct SweepPolicyConfig {
   RobustAggregation aggregation = RobustAggregation::WorstCase;
   SweepFailurePolicy failure_policy = SweepFailurePolicy::PenalizeFailedVariant;
   double k_sigma = 3.0;        ///< KSigma: the k in mean + k·sigma
   double yield_target = 0.9;   ///< YieldQuantile: fraction in (0, 1]
   double min_ok_fraction = 0.5;  ///< ConservativeBound: survival floor
-  SweepBreakerConfig breaker;
 };
 
 /// Monotonic engine totals (atomic snapshot; variants_* count individual
@@ -123,10 +106,9 @@ struct SweepStats {
   std::uint64_t failed_sweeps = 0;    ///< aggregate reported simulation_ok = false
   std::uint64_t variants_ok = 0;
   std::uint64_t variants_failed = 0;
-  std::uint64_t variants_skipped = 0;  ///< suppressed by an open breaker
 
   /// One-line summary, e.g. "12 sweeps (2 degraded, 1 failed), variants:
-  /// 52 ok / 7 failed / 1 skipped".
+  /// 52 ok / 7 failed".
   std::string report() const;
 };
 
@@ -136,8 +118,8 @@ class VariationSweepProblem : public SizingProblem {
   /// sweep's telemetry events ("corners", "monte-carlo"). Requires a
   /// non-empty variant list, a variation-capable inner problem whenever any
   /// variant's variation is enabled, and valid policy parameters (k_sigma
-  /// finite, yield_target in (0,1], min_ok_fraction in [0,1], breaker
-  /// cooldown >= 1 when enabled); throws std::invalid_argument otherwise.
+  /// finite and >= 0, yield_target in (0,1], min_ok_fraction in [0,1]);
+  /// throws std::invalid_argument otherwise.
   VariationSweepProblem(const SizingProblem& inner, std::vector<SweepVariant> variants,
                         SweepPolicyConfig policy, std::string kind);
 
@@ -150,11 +132,11 @@ class VariationSweepProblem : public SizingProblem {
   Vec failure_metrics() const override { return inner_->failure_metrics(); }
   std::uint64_t content_fingerprint() const override { return inner_->content_fingerprint(); }
 
-  /// One full sweep: evaluates every (non-skipped) variant, applies the
-  /// failure policy, aggregates, and stamps the provenance fields
-  /// (degraded / variants_failed / variants_total) into the result.
-  /// Thread-safe whenever the inner problem's evaluate_at is; with breakers
-  /// disabled the result is a pure function of (x, variants, policy).
+  /// One full sweep: evaluates every variant, applies the failure policy,
+  /// aggregates, and stamps the provenance fields (degraded /
+  /// variants_failed / variants_total) into the result. Thread-safe
+  /// whenever the inner problem's evaluate_at is; the result is a pure
+  /// function of (x, variants, policy).
   EvalResult evaluate(const Vec& x) const override;
 
   /// Attaches a telemetry sink for sweep brackets (may be null to detach).
@@ -172,17 +154,12 @@ class VariationSweepProblem : public SizingProblem {
   const SizingProblem& inner() const { return *inner_; }
 
  private:
-  struct BreakerState {
-    int consecutive_failures = 0;
-    bool open = false;
-    int cooldown_left = 0;
-  };
-
   /// Aggregates the contributing metric vectors per `policy_.aggregation`.
   Vec aggregate(const std::vector<const Vec*>& contributing) const;
 
   const SizingProblem* inner_;
   std::vector<SweepVariant> variants_;
+  std::vector<ProcessVariation> pvs_;  ///< variants_[i].pv, the batch evaluate() hands on
   SweepPolicyConfig policy_;
   std::string kind_;
 
@@ -193,17 +170,11 @@ class VariationSweepProblem : public SizingProblem {
   mutable Mutex emit_mutex_;
   mutable std::uint64_t next_sweep_id_ MAOPT_GUARDED_BY(emit_mutex_) = 0;
 
-  /// Breaker state per variant; only touched when breakers are enabled (so
-  /// the default configuration takes no lock on the hot path). Leaf lock.
-  mutable Mutex breaker_mutex_;
-  mutable std::vector<BreakerState> breakers_ MAOPT_GUARDED_BY(breaker_mutex_);
-
   mutable std::atomic<std::uint64_t> sweeps_{0};
   mutable std::atomic<std::uint64_t> degraded_sweeps_{0};
   mutable std::atomic<std::uint64_t> failed_sweeps_{0};
   mutable std::atomic<std::uint64_t> variants_ok_{0};
   mutable std::atomic<std::uint64_t> variants_failed_{0};
-  mutable std::atomic<std::uint64_t> variants_skipped_{0};
 };
 
 }  // namespace maopt::ckt

@@ -24,7 +24,6 @@ std::ofstream open_or_throw(const std::string& path) {
 // files fail loudly instead of yielding a garbage history.
 
 constexpr char kCheckpointMagic[8] = {'M', 'A', 'O', 'P', 'T', 'C', 'K', 'P'};
-constexpr std::uint64_t kMaxCheckpointElems = 1ULL << 32U;  ///< corruption guard
 
 template <typename T>
 void put_pod(std::ostream& out, T value) {
@@ -50,21 +49,26 @@ T get_pod(std::istream& in) {
   return value;
 }
 
-std::uint64_t get_count(std::istream& in) {
+/// Reads an element count and rejects one the rest of the file cannot hold:
+/// `end` is the file size and `elem_bytes` the smallest encoding of one
+/// element, so a corrupt count fails before anything is allocated for it.
+std::uint64_t get_count(std::istream& in, std::uint64_t end, std::uint64_t elem_bytes) {
   const auto n = get_pod<std::uint64_t>(in);
-  if (n > kMaxCheckpointElems) throw std::runtime_error("checkpoint: corrupt element count");
+  const auto pos = static_cast<std::uint64_t>(in.tellg());
+  if (pos > end || n > (end - pos) / elem_bytes)
+    throw std::runtime_error("checkpoint: corrupt element count");
   return n;
 }
 
-std::string get_string(std::istream& in) {
-  std::string s(get_count(in), '\0');
+std::string get_string(std::istream& in, std::uint64_t end) {
+  std::string s(get_count(in, end, 1), '\0');
   in.read(s.data(), static_cast<std::streamsize>(s.size()));
   if (!in) throw std::runtime_error("checkpoint: truncated file");
   return s;
 }
 
-linalg::Vec get_vec(std::istream& in) {
-  linalg::Vec v(get_count(in));
+linalg::Vec get_vec(std::istream& in, std::uint64_t end) {
+  linalg::Vec v(get_count(in, end, sizeof(double)));
   in.read(reinterpret_cast<char*>(v.data()),
           static_cast<std::streamsize>(v.size() * sizeof(double)));
   if (!in) throw std::runtime_error("checkpoint: truncated file");
@@ -162,8 +166,10 @@ std::uint64_t save_checkpoint(const std::string& path, const RunHistory& history
 }
 
 RunCheckpoint load_checkpoint(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
+  std::ifstream in(path, std::ios::binary | std::ios::ate);
   if (!in) throw std::runtime_error("checkpoint: cannot open '" + path + "'");
+  const auto end = static_cast<std::uint64_t>(in.tellg());
+  in.seekg(0);
   char magic[sizeof(kCheckpointMagic)] = {};
   in.read(magic, sizeof(magic));
   if (!in || std::memcmp(magic, kCheckpointMagic, sizeof(magic)) != 0)
@@ -176,20 +182,24 @@ RunCheckpoint load_checkpoint(const std::string& path) {
                              std::to_string(ckpt.version));
   ckpt.seed = get_pod<std::uint64_t>(in);
   RunHistory& h = ckpt.history;
-  h.algorithm = get_string(in);
+  h.algorithm = get_string(in, end);
   h.num_initial = get_pod<std::uint64_t>(in);
   h.aborted = get_pod<std::uint8_t>(in) != 0;
-  h.abort_reason = get_string(in);
+  h.abort_reason = get_string(in, end);
   h.wall_seconds = get_pod<double>(in);
   h.sim_seconds = get_pod<double>(in);
   h.train_seconds = get_pod<double>(in);
   h.ns_seconds = get_pod<double>(in);
-  const std::uint64_t num_records = get_count(in);
+  // A record is at least two empty vectors, the FoM and two flags (v2 adds
+  // a flag and two counts).
+  const std::uint64_t min_record_bytes = 2 * sizeof(std::uint64_t) + sizeof(double) + 2 +
+                                         (ckpt.version >= 2 ? 1 + 2 * sizeof(std::uint32_t) : 0);
+  const std::uint64_t num_records = get_count(in, end, min_record_bytes);
   h.records.reserve(num_records);
   for (std::uint64_t i = 0; i < num_records; ++i) {
     SimRecord r;
-    r.x = get_vec(in);
-    r.metrics = get_vec(in);
+    r.x = get_vec(in, end);
+    r.metrics = get_vec(in, end);
     r.fom = get_pod<double>(in);
     r.feasible = get_pod<std::uint8_t>(in) != 0;
     r.simulation_ok = get_pod<std::uint8_t>(in) != 0;
@@ -201,7 +211,7 @@ RunCheckpoint load_checkpoint(const std::string& path) {
     }
     h.records.push_back(std::move(r));
   }
-  h.best_fom_after.resize(get_count(in));
+  h.best_fom_after.resize(get_count(in, end, sizeof(double)));
   in.read(reinterpret_cast<char*>(h.best_fom_after.data()),
           static_cast<std::streamsize>(h.best_fom_after.size() * sizeof(double)));
   if (!in) throw std::runtime_error("checkpoint: truncated file");

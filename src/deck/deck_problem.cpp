@@ -91,9 +91,17 @@ struct DeviceHandles {
   std::map<std::string, VSource*> vsource_by_name;
 };
 
-/// Instantiates every element card into `net` (which must be fresh; callers
-/// prepare() it afterwards). Mismatch draws are one per MOSFET in element
-/// order when `pv` is enabled. `handles` may be null (standalone tools).
+/// MNA unknowns (node voltages plus branch currents) one deck may build. The
+/// simulator's MNA matrices are dense, so each Newton step of an .op costs
+/// O(n^3): 1,000 unknowns is a fraction of a second per step, while a
+/// 600-byte deck of nested subcircuits reaches 10,000 unknowns, whose .op
+/// does not finish in a minute. The shipped decks have fewer than 20.
+constexpr std::size_t kMaxUnknowns = 1000;
+
+/// Instantiates every element card into `net` (which must be fresh) and
+/// prepares it. Mismatch draws are one per MOSFET in element order when
+/// `pv` is enabled. `handles` may be null (standalone tools). Throws
+/// std::invalid_argument when the circuit has more than kMaxUnknowns.
 void build_devices(const ElaboratedDeck& deck, const ParamEnv& env, const ProcessVariation& pv,
                    Netlist& net, DeviceHandles* handles) {
   std::map<std::string, MosModel> models;
@@ -158,13 +166,18 @@ void build_devices(const ElaboratedDeck& deck, const ParamEnv& env, const Proces
     }
     net.set_label(dev, card.name);
   }
+  net.prepare();
+  if (net.system_size() > kMaxUnknowns)
+    throw std::invalid_argument(deck.top_path + ": circuit has " +
+                                std::to_string(net.system_size()) +
+                                " MNA unknowns, more than the " + std::to_string(kMaxUnknowns) +
+                                " a dense-matrix simulation can afford");
 }
 
 }  // namespace
 
 void build_nominal_netlist(const ElaboratedDeck& deck, Netlist& out) {
   build_devices(deck, deck.nominal_env(), ProcessVariation{}, out, nullptr);
-  out.prepare();
 }
 
 /// Persistent evaluator for one DeckProblem (see OtaSession for the
@@ -184,7 +197,6 @@ class DeckSession final : public ckt::EvalSession {
     const ParamEnv env = deck.nominal_env();
 
     build_devices(deck, env, pv_, net_, &handles_);
-    net_.prepare();
 
     // Resolve measure probes against the built netlist.
     for (const MeasureCard& m : deck.measures) {
@@ -208,13 +220,18 @@ class DeckSession final : public ckt::EvalSession {
     }
 
     // Analysis grids are design-independent (validated at compile time), so
-    // they are evaluated once here.
-    if (const AnalysisCard* ac = deck.analysis(AnalysisKind::Ac))
-      ac_freqs_ = log_frequency_grid(ac->f_start.eval(env), ac->f_stop.eval(env),
-                                     ac->points_per_decade);
+    // they are evaluated once here. A bad range is reported at its card.
+    const auto grid = [&env](const AnalysisCard& card) {
+      try {
+        return log_frequency_grid(card.f_start.eval(env), card.f_stop.eval(env),
+                                  card.points_per_decade);
+      } catch (const std::invalid_argument& e) {
+        throw std::invalid_argument(card.location + ": " + e.what());
+      }
+    };
+    if (const AnalysisCard* ac = deck.analysis(AnalysisKind::Ac)) ac_freqs_ = grid(*ac);
     if (const AnalysisCard* nz = deck.analysis(AnalysisKind::Noise)) {
-      noise_freqs_ = log_frequency_grid(nz->f_start.eval(env), nz->f_stop.eval(env),
-                                        nz->points_per_decade);
+      noise_freqs_ = grid(*nz);
       try {
         noise_pos_ = net_.find_node(nz->noise_pos);
         noise_neg_ = nz->noise_neg.empty() ? kGround : net_.find_node(nz->noise_neg);

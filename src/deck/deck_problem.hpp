@@ -46,7 +46,8 @@ using ckt::Vec;
 /// prepare() called. The substrate for standalone deck tools
 /// (examples/minispice) that want the elaborated language without the
 /// optimization contract. Throws std::invalid_argument on binding errors
-/// (unknown model, bad model parameter).
+/// (unknown model, bad model parameter) and on a circuit with more than
+/// 1,000 MNA unknowns (node voltages plus branch currents).
 void build_nominal_netlist(const ElaboratedDeck& deck, spice::Netlist& out);
 
 class DeckProblem final : public ckt::SizingProblem {

@@ -18,6 +18,12 @@ using spice::ParseError;
 
 constexpr int kMaxIncludeDepth = 20;
 constexpr int kMaxSubcktDepth = 20;
+/// Flattened elements one deck may produce. The largest shipped deck has 10
+/// element cards, so 10,000 leaves three orders of magnitude of room.
+/// Without a cap, .subckt fan-out grows exponentially in deck size: 7 nested
+/// levels of 10 instances each are 10^7 elements, gigabytes, from under
+/// 1 KB of text.
+constexpr std::size_t kMaxElements = 10000;
 
 std::string upper(std::string s) {
   for (char& c : s) c = static_cast<char>(std::toupper(static_cast<unsigned char>(c)));
@@ -300,6 +306,7 @@ class Elaborator {
       } else if (head[0] == 'X') {
         instantiate(tokens, line, "", {}, {}, 0);
       } else {
+        reserve_element(line);
         deck_.elements.push_back(parse_element(tokens, line, "", {}, {}));
       }
     }
@@ -350,8 +357,11 @@ class Elaborator {
       // "DEC n f_start f_stop"
       if (i + 3 >= tokens.size() || upper(tokens[i]) != "DEC")
         fail(line, head + " expects 'dec N f_start f_stop'");
-      card.points_per_decade = static_cast<int>(expr(i + 1).eval({}));
-      if (card.points_per_decade < 1) fail(line, "points per decade must be >= 1");
+      // Range-checked as a double: the cast of an out-of-range value is undefined.
+      const double points_per_decade = expr(i + 1).eval({});
+      if (!(points_per_decade >= 1.0 && points_per_decade <= 1e6))
+        fail(line, "points per decade must be in [1, 1e6]");
+      card.points_per_decade = static_cast<int>(points_per_decade);
       card.f_start = expr(i + 2);
       card.f_stop = expr(i + 3);
       return i + 4;
@@ -588,9 +598,18 @@ class Elaborator {
       } else if (head[0] == 'X') {
         instantiate(body_tokens, body_line, prefix, node_map, scope, depth + 1);
       } else {
+        reserve_element(line);
         deck_.elements.push_back(parse_element(body_tokens, body_line, prefix, node_map, scope));
       }
     }
+  }
+
+  /// Rejects the element that would cross kMaxElements, at `at`: the
+  /// element's own card at top level, the instance card being flattened
+  /// inside a subcircuit.
+  void reserve_element(const Line& at) const {
+    if (deck_.elements.size() >= kMaxElements)
+      fail(at, "deck flattens to more than " + std::to_string(kMaxElements) + " elements");
   }
 
   ElaboratedDeck deck_;

@@ -1,9 +1,11 @@
 #include "eval/eval_service.hpp"
 
+#include <cmath>
 #include <filesystem>
 #include <thread>
 #include <utility>
 
+#include "common/check.hpp"
 #include "common/log.hpp"
 #include "common/thread_pool.hpp"
 
@@ -56,6 +58,8 @@ EvalService::EvalService(const ckt::SizingProblem& inner, EvalServiceConfig conf
     : inner_(&inner),
       config_(std::move(config)),
       problem_fp_(problem_fingerprint(inner)) {
+  MAOPT_CHECK(std::isfinite(config_.quant_epsilon) && config_.quant_epsilon >= 0.0,
+              "EvalService: quant_epsilon must be finite and >= 0");
   ResultCache::Config cache_config;
   cache_config.memory_capacity = config_.memory_capacity;
   cache_config.journal_path = journal_path_for(config_.cache_dir);
@@ -95,7 +99,6 @@ ResultCache& EvalService::cache_for(const std::string& tenant) const {
 }
 
 std::unique_ptr<ckt::EvalSession> EvalService::acquire_session() const {
-  if (!config_.use_sessions) return nullptr;
   {
     const MutexLock lock(sessions_mutex_);
     if (!sessions_.empty()) {
@@ -238,13 +241,12 @@ ckt::EvalResult EvalService::evaluate_impl(const Vec& x, const ckt::ProcessVaria
   }
 
   // Producer: run the simulation on this thread, publish, then resolve.
-  // Evaluation goes through a pooled session when enabled, so repeated
+  // Nominal evaluation goes through a pooled session, so repeated
   // same-topology designs reuse one prepared testbench and its solver
-  // workspaces instead of rebuilding everything per design.
-  simulations_.fetch_add(1, std::memory_order_relaxed);
-  // Pooled sessions are pinned to the nominal variation (the service-lifetime
-  // assumption use_sessions documents); varied evaluations go through the
+  // workspaces instead of rebuilding everything per design. Pooled sessions
+  // are pinned to the nominal variation; varied evaluations go through the
   // thread-safe variation-pinned primitive instead.
+  simulations_.fetch_add(1, std::memory_order_relaxed);
   std::unique_ptr<ckt::EvalSession> session = pv.enabled() ? nullptr : acquire_session();
   ckt::EvalResult result;
   Stopwatch timer;

@@ -63,13 +63,7 @@ struct EvalServiceConfig {
   /// Directory for the persistent journal (`eval_cache.bin` inside it);
   /// empty disables persistence (memory-only cache).
   std::string cache_dir;
-  double quant_epsilon = 0.0;  ///< design quantization for cache keys
-  /// Evaluate through pooled EvalSessions (see ckt::EvalSession): persistent
-  /// per-worker testbenches amortize netlist construction and solver
-  /// workspaces across same-topology designs. Sessions snapshot the inner
-  /// problem's process-variation settings when first created — the same
-  /// service-lifetime assumption the cache fingerprint already makes.
-  bool use_sessions = true;
+  double quant_epsilon = 0.0;  ///< design quantization for cache keys; finite, >= 0
 };
 
 /// Monotonic service totals. Invariants (validated by check_telemetry.py):
@@ -229,8 +223,11 @@ class EvalService final : public ckt::SizingProblem {
 
   /// Session pool: producers check a session out for the duration of one
   /// simulation and return it afterwards, so concurrent batch workers each
-  /// drive their own persistent testbench. Returns null when sessions are
-  /// disabled. A session whose evaluation threw is discarded, not returned.
+  /// drive their own persistent testbench. Sessions amortize netlist
+  /// construction and solver workspaces across same-topology designs; they
+  /// are built at the nominal variation, which the service assumes fixed
+  /// for its lifetime (the cache fingerprint makes the same assumption). A
+  /// session whose evaluation threw is discarded, not returned.
   std::unique_ptr<ckt::EvalSession> acquire_session() const;
   void release_session(std::unique_ptr<ckt::EvalSession> session) const;
 

@@ -15,7 +15,6 @@ namespace maopt::eval {
 namespace {
 
 constexpr char kJournalMagic[8] = {'M', 'A', 'O', 'P', 'T', 'E', 'V', 'C'};
-constexpr std::uint64_t kMaxJournalElems = 1ULL << 20U;  ///< corruption guard
 constexpr std::uint64_t kJournalHeaderBytes =
     sizeof(kJournalMagic) + sizeof(std::uint32_t) + sizeof(double);
 
@@ -43,9 +42,14 @@ bool get_pod(std::istream& in, T& value) {
   return static_cast<bool>(in);
 }
 
-bool get_vec(std::istream& in, Vec& v) {
+/// `end` is the journal's size in bytes: a length the bytes after it cannot
+/// hold marks a torn or corrupt record, rejected before anything is
+/// allocated for it.
+bool get_vec(std::istream& in, std::uint64_t end, Vec& v) {
   std::uint64_t n = 0;
-  if (!get_pod(in, n) || n > kMaxJournalElems) return false;
+  if (!get_pod(in, n)) return false;
+  const auto pos = static_cast<std::uint64_t>(in.tellg());
+  if (pos > end || n > (end - pos) / sizeof(double)) return false;
   v.resize(n);
   in.read(reinterpret_cast<char*>(v.data()), static_cast<std::streamsize>(n * sizeof(double)));
   return static_cast<bool>(in);
@@ -135,6 +139,9 @@ void ResultCache::load_journal() {
                  << config_.quant_epsilon << "; starting empty";
       dirty = true;
     } else {
+      in.seekg(0, std::ios::end);
+      const auto file_end = static_cast<std::uint64_t>(in.tellg());
+      in.seekg(static_cast<std::streamoff>(kJournalHeaderBytes));
       journal_bytes_ = kJournalHeaderBytes;
       while (true) {
         const auto offset = static_cast<std::uint64_t>(in.tellg());
@@ -142,7 +149,7 @@ void ResultCache::load_journal() {
         CacheKey key;
         if (!get_pod(in, key.hi)) break;  // clean EOF
         if (!get_pod(in, key.lo) || !get_pod(in, entry.eval.problem_fp) ||
-            !get_vec(in, entry.eval.x) || !get_vec(in, entry.eval.metrics)) {
+            !get_vec(in, file_end, entry.eval.x) || !get_vec(in, file_end, entry.eval.metrics)) {
           log_warn() << "eval cache: truncated journal tail in '" << config_.journal_path
                      << "'; keeping " << entries_.size() << " complete records";
           dirty = true;
@@ -180,8 +187,8 @@ std::optional<CachedEval> ResultCache::read_record_at(std::uint64_t offset) cons
   CachedEval eval;
   CacheKey key;
   if (!get_pod(reader_, key.hi) || !get_pod(reader_, key.lo) ||
-      !get_pod(reader_, eval.problem_fp) || !get_vec(reader_, eval.x) ||
-      !get_vec(reader_, eval.metrics))
+      !get_pod(reader_, eval.problem_fp) || !get_vec(reader_, journal_bytes_, eval.x) ||
+      !get_vec(reader_, journal_bytes_, eval.metrics))
     return std::nullopt;
   return eval;
 }

@@ -115,17 +115,14 @@ struct SweepStarted {
   std::uint64_t variants = 0;  ///< sweep width (corners or MC instances)
 };
 
-/// One variant of a sweep finished (or was short-circuited). Exactly one of
-/// {ok, failed, skipped} holds per variant: ok = usable metrics, skipped =
-/// a tripped circuit breaker suppressed the simulation, otherwise failed.
+/// One variant of a sweep finished: ok = usable metrics, otherwise failed.
 struct SweepVariantEvaluated {
   std::uint64_t sweep_id = 0;
   std::uint64_t variant = 0;  ///< 0-based index within the sweep
   std::string label;          ///< corner name ("ss") or MC tag ("mc17")
   bool ok = false;
-  bool skipped = false;   ///< breaker open: no simulation was attempted
-  double fom0 = 0.0;      ///< metrics[0] of the variant (0 when not ok)
-  double seconds = 0.0;   ///< wall-clock of this variant's evaluation
+  double fom0 = 0.0;     ///< metrics[0] of the variant (0 when not ok)
+  double seconds = 0.0;  ///< wall-clock of this variant's evaluation
 };
 
 /// Sweep closing bracket: tallies plus the failure-policy provenance that
@@ -134,7 +131,6 @@ struct SweepCompleted {
   std::uint64_t sweep_id = 0;
   std::uint64_t variants_ok = 0;
   std::uint64_t variants_failed = 0;
-  std::uint64_t variants_skipped = 0;
   bool degraded = false;  ///< a partial-failure policy shaped the aggregate
   std::string policy;     ///< to_string(SweepFailurePolicy) in force
   double seconds = 0.0;   ///< wall-clock of the whole sweep

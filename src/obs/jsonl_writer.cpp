@@ -244,8 +244,6 @@ void JsonlObserver::on_sweep_variant_evaluated(const SweepVariantEvaluated& e) {
   append_string(line, e.label);
   line += ",\"ok\":";
   append_bool(line, e.ok);
-  line += ",\"skipped\":";
-  append_bool(line, e.skipped);
   line += ",\"fom0\":";
   append_double(line, e.fom0);
   line += ",\"seconds\":";
@@ -340,8 +338,6 @@ void JsonlObserver::on_sweep_completed(const SweepCompleted& e) {
   append_u64(line, e.variants_ok);
   line += ",\"failed\":";
   append_u64(line, e.variants_failed);
-  line += ",\"skipped\":";
-  append_u64(line, e.variants_skipped);
   line += ",\"degraded\":";
   append_bool(line, e.degraded);
   line += ",\"policy\":";

@@ -43,7 +43,6 @@ void RunReport::on_sweep_completed(const SweepCompleted& event) {
   row.sweeps += 1;
   row.sweep_variants_ok += event.variants_ok;
   row.sweep_variants_failed += event.variants_failed;
-  row.sweep_variants_skipped += event.variants_skipped;
   if (event.degraded) row.sweeps_degraded += 1;
 }
 

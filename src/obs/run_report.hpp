@@ -36,7 +36,6 @@ class RunReport final : public RunObserver {
     std::uint64_t sweeps = 0;
     std::uint64_t sweep_variants_ok = 0;
     std::uint64_t sweep_variants_failed = 0;
-    std::uint64_t sweep_variants_skipped = 0;
     std::uint64_t sweeps_degraded = 0;
     bool finished = false;  ///< run_finished arrived (row is complete)
 

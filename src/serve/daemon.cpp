@@ -180,7 +180,6 @@ OptDaemon::OptDaemon(DaemonConfig config)
                                              ? std::thread::hardware_concurrency()
                                              : config_.num_threads)),
       scheduler_(config_.scheduler) {
-  config_.service.validate();
   std::filesystem::create_directories(config_.work_dir);
 }
 
@@ -223,7 +222,7 @@ void OptDaemon::add_problem_locked(const std::string& name, const ckt::SizingPro
     throw std::invalid_argument("OptDaemon: duplicate problem: " + name);
   }
 
-  ServiceConfig service_config = config_.service;
+  eval::EvalServiceConfig service_config = config_.service;
   service_config.shared_pool = pool_.get();  // one simulator pool across all stacks
   if (service_config.cache_dir.empty())
     service_config.cache_dir = config_.work_dir + "/cache/" + name;
@@ -231,7 +230,7 @@ void OptDaemon::add_problem_locked(const std::string& name, const ckt::SizingPro
   ProblemEntry entry;
   entry.problem = &problem;
   entry.owned = std::move(owned);
-  entry.stack = std::make_unique<ServiceStack>(problem, service_config);
+  entry.stack = std::make_unique<ServiceStack>(problem, service_config, config_.resilient);
   entry.stack->service().set_admission(&scheduler_);
   for (const auto& [tenant, weight] : tenants_) {
     if (!tenant.empty())

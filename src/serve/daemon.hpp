@@ -40,6 +40,7 @@
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -48,7 +49,7 @@
 #include "core/history.hpp"
 #include "obs/observer.hpp"
 #include "serve/scheduler.hpp"
-#include "serve/service_config.hpp"
+#include "serve/service_stack.hpp"
 
 namespace maopt::serve {
 
@@ -115,7 +116,12 @@ struct DaemonConfig {
   /// journals (work_dir/tenants/<tenant>/<problem>/). Created on demand.
   std::string work_dir = "maopt_daemon";
   std::size_t num_threads = 0;  ///< shared simulator pool width; 0 = hardware
-  ServiceConfig service;        ///< per-problem stack template (pool overridden)
+  /// Per-problem service template. The daemon points shared_pool at its own
+  /// pool (so num_threads here is unused) and, when cache_dir is empty, uses
+  /// work_dir/cache/<problem>. Validated when a problem is added.
+  eval::EvalServiceConfig service;
+  /// Wrap every problem in a ResilientEvaluator with this config; none = bare.
+  std::optional<ckt::ResilientConfig> resilient;
   SchedulerConfig scheduler;    ///< fair-share admission knobs
   /// Job-event sink (JobSubmitted / JobStateChanged / JobFinished); not
   /// owned, may be null, must outlive the daemon.

@@ -4,6 +4,7 @@
 #include <numbers>
 #include <stdexcept>
 
+#include "common/check.hpp"
 #include "linalg/dispatch.hpp"
 #include "common/thread_annotations.hpp"
 #include "linalg/lu.hpp"
@@ -32,9 +33,15 @@ void combine_ac_system(const Mat& g, const Mat& c, double omega, CMat& a) {
 }
 
 std::vector<double> log_frequency_grid(double f_start, double f_stop, int points_per_decade) {
+  MAOPT_CHECK(f_start > 0.0 && f_stop >= f_start && std::isfinite(f_stop) && points_per_decade >= 1,
+              "log_frequency_grid: needs 0 < f_start <= f_stop, finite, and points_per_decade >= 1");
+  // Each point is one complex solve; the shipped decks and circuits use at
+  // most a few hundred. The count is checked as a double, before the cast.
+  constexpr double kMaxPoints = 10000;
+  const double points = std::ceil(std::log10(f_stop / f_start) * points_per_decade) + 1;
+  MAOPT_CHECK(points <= kMaxPoints, "log_frequency_grid: more than 10000 frequency points");
   std::vector<double> freqs;
-  const double decades = std::log10(f_stop / f_start);
-  const int n = std::max(2, static_cast<int>(std::ceil(decades * points_per_decade)) + 1);
+  const int n = std::max(2, static_cast<int>(points));
   freqs.reserve(static_cast<std::size_t>(n));
   for (int i = 0; i < n; ++i) {
     const double t = static_cast<double>(i) / static_cast<double>(n - 1);

@@ -5,6 +5,7 @@
 #include <atomic>
 #include <chrono>
 #include <cmath>
+#include <limits>
 #include <stdexcept>
 #include <thread>
 
@@ -189,6 +190,38 @@ TEST(ResilientEvaluator, DeadlineLetsFastEvaluationsThrough) {
   const EvalResult r = res.evaluate(inner.random_design(rng));
   EXPECT_TRUE(r.simulation_ok);
   EXPECT_EQ(res.stats().failures, 0u);
+}
+
+TEST(ResilientEvaluator, RejectsNonFiniteOrNegativeDeadline) {
+  // An infinite deadline used to be accepted and then made every attempt
+  // time out at once; the constructor now rejects it.
+  ConstrainedQuadratic inner(4);
+  for (const double deadline : {std::numeric_limits<double>::infinity(),
+                                std::numeric_limits<double>::quiet_NaN(), -0.5}) {
+    ResilientConfig cfg;
+    cfg.deadline_seconds = deadline;
+    EXPECT_THROW(ResilientEvaluator(inner, cfg), std::invalid_argument) << deadline;
+  }
+}
+
+TEST(ResilientEvaluator, HugeFiniteDeadlineEvaluatesCleanly) {
+  // 1e10 s is 1e19 ns, past the range of a 64-bit nanosecond count: the
+  // wait must saturate, not overflow into an immediate timeout.
+  ConstrainedQuadratic inner(4);
+  ResilientConfig cfg;
+  cfg.deadline_seconds = 1e10;
+  const ResilientEvaluator res(inner, cfg);
+  Rng rng(9);
+  for (int i = 0; i < 3; ++i) {
+    const Vec x = inner.random_design(rng);
+    const EvalResult r = res.evaluate(x);
+    ASSERT_TRUE(r.simulation_ok);
+    EXPECT_EQ(r.metrics, inner.evaluate(x).metrics);
+  }
+  const FailureStats s = res.stats();
+  EXPECT_EQ(s.by_kind[static_cast<std::size_t>(FailureKind::Timeout)], 0u);
+  EXPECT_EQ(s.retries, 0u);
+  EXPECT_EQ(s.failures, 0u);
 }
 
 TEST(ResilientEvaluator, ReportMentionsEveryFailureKind) {

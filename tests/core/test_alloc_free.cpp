@@ -1,15 +1,24 @@
 // Allocation-freedom of the training hot path, measured rather than
 // linted: this binary replaces the global operator new with a counting
 // forwarder to malloc, so a test can assert that a warmed-up call performs
-// zero heap allocations on the calling thread. Lives in its own executable
-// so no other test runs under the replaced allocator.
+// zero heap allocations on the calling thread. It also records the largest
+// single request, which bounds what a corrupt file can make a reader
+// allocate. Lives in its own executable so no other test runs under the
+// replaced allocator.
+#include <algorithm>
 #include <atomic>
 #include <cstdlib>
+#include <filesystem>
+#include <functional>
 #include <new>
+#include <stdexcept>
+#include <string>
 
 #include <gtest/gtest.h>
 
+#include "../support/corrupt_file_replay.hpp"
 #include "circuits/analytic_problems.hpp"
+#include "common/log.hpp"
 #include "common/thread_pool.hpp"
 #include "core/actor.hpp"
 #include "core/critic.hpp"
@@ -18,14 +27,20 @@
 namespace {
 
 std::atomic<long> g_counted_allocations{0};
+std::atomic<std::size_t> g_largest_request{0};  ///< largest counted request, bytes
 thread_local bool t_counting = false;
 std::atomic<bool> g_counting_all_threads{false};
 
 }  // namespace
 
 void* operator new(std::size_t size) {
-  if (t_counting || g_counting_all_threads.load(std::memory_order_relaxed))
+  if (t_counting || g_counting_all_threads.load(std::memory_order_relaxed)) {
     g_counted_allocations.fetch_add(1, std::memory_order_relaxed);
+    std::size_t largest = g_largest_request.load(std::memory_order_relaxed);
+    while (size > largest &&
+           !g_largest_request.compare_exchange_weak(largest, size, std::memory_order_relaxed)) {
+    }
+  }
   if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
   throw std::bad_alloc();
 }
@@ -151,6 +166,70 @@ TEST_F(HotPathFixture, PooledCriticRoundAllocatesPerRoundNotPerStep) {
   }
   EXPECT_GT(counts[0], 0) << "no helper was dispatched";
   EXPECT_EQ(counts[0], counts[1]);
+}
+
+/// Largest single heap request `fn` makes on this thread.
+template <typename Fn>
+std::size_t largest_allocation_during(Fn&& fn) {
+  g_largest_request = 0;
+  (void)allocations_during(fn);
+  return g_largest_request.load();
+}
+
+/// Replays every corrupt mutant of `reference` through `load` and checks
+/// that no single allocation exceeds 8x the mutant's size. Readers also
+/// allocate a fixed stream buffer whatever the file holds, so the bound
+/// never drops below what loading an empty file takes.
+void expect_allocations_bounded_by_file_size(
+    const std::string& name, const std::function<void(const std::string&)>& write_reference,
+    const std::function<void(const std::string&)>& load) {
+  const auto dir = maopt::testing::replay_dir(name);
+  const std::string reference_path = (dir / "reference").string();
+  write_reference(reference_path);
+  const std::string reference = maopt::testing::read_file_bytes(reference_path);
+  const std::string mutant_path = (dir / "mutant").string();
+
+  const auto try_load = [&] {
+    try {
+      load(mutant_path);
+    } catch (const std::runtime_error&) {
+    }
+  };
+  maopt::testing::write_file_bytes(mutant_path, "");
+  const std::size_t floor = largest_allocation_during(try_load);
+
+  int over_bound = 0;
+  std::string worst;  ///< the largest over-bound allocation, described
+  std::size_t worst_bytes = 0;
+  const auto observe = [&](std::size_t size, const std::function<void()>& run) {
+    const std::size_t largest = largest_allocation_during(run);
+    if (largest <= std::max(8 * size, floor)) return;
+    ++over_bound;
+    if (largest > worst_bytes) {
+      worst_bytes = largest;
+      worst = std::to_string(size) + "-byte file, " + std::to_string(largest) + "-byte allocation";
+    }
+  };
+  const LogLevel level = log_level();
+  set_log_level(LogLevel::Off);
+  const auto tally =
+      maopt::testing::replay_corruptions(reference, mutant_path, 9, load, observe);
+  set_log_level(level);
+  EXPECT_EQ(over_bound, 0) << "largest: " << worst << " (floor " << floor << " bytes)";
+  EXPECT_GT(tally.loaded + tally.rejected, static_cast<int>(8 * reference.size()));
+  std::filesystem::remove_all(dir);
+}
+
+TEST(CorruptionReplayAlloc, CheckpointAllocationsStayWithinFileSize) {
+  expect_allocations_bounded_by_file_size("alloc_checkpoint",
+                                          maopt::testing::write_reference_checkpoint,
+                                          maopt::testing::load_checkpoint_file);
+}
+
+TEST(CorruptionReplayAlloc, JournalAllocationsStayWithinFileSize) {
+  expect_allocations_bounded_by_file_size("alloc_journal",
+                                          maopt::testing::write_reference_journal,
+                                          maopt::testing::load_journal_file);
 }
 
 }  // namespace

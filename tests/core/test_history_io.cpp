@@ -4,10 +4,12 @@
 
 #include <cstdio>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
 #include <iterator>
 #include <sstream>
 
+#include "../support/corrupt_file_replay.hpp"
 #include "circuits/analytic_problems.hpp"
 #include "core/random_search.hpp"
 
@@ -261,6 +263,21 @@ TEST_F(IoFixture, CheckpointLoadRejectsMissingAndCorruptFiles) {
   }
   std::remove(full.c_str());
   std::remove(cut.c_str());
+}
+
+TEST(CorruptionReplay, CheckpointLoadsOrRejectsEveryMutant) {
+  const auto dir = maopt::testing::replay_dir("checkpoint");
+  const std::string reference_path = (dir / "reference.ckpt").string();
+  maopt::testing::write_reference_checkpoint(reference_path);
+  const std::string reference = maopt::testing::read_file_bytes(reference_path);
+  ASSERT_NO_THROW(load_checkpoint(reference_path));
+
+  const auto tally = maopt::testing::replay_corruptions(
+      reference, (dir / "mutant.ckpt").string(), 7, maopt::testing::load_checkpoint_file);
+  // Flips inside doubles and flags still load; truncations never do.
+  EXPECT_GT(tally.loaded, 0);
+  EXPECT_GE(tally.rejected, static_cast<int>(reference.size()));
+  std::filesystem::remove_all(dir);
 }
 
 }  // namespace

@@ -181,7 +181,6 @@ TEST_F(RobustWorkloadFixture, BatchedServiceStackMatchesSerialTrajectory) {
 
   eval::EvalServiceConfig scfg;
   scfg.num_threads = 4;
-  scfg.use_sessions = false;  // fault decisions key off evaluate_at
   const eval::EvalService service(faulty, scfg);
   const ckt::RobustProblem batched(service, ckt::RobustConfig{});
   const ckt::RobustProblem serial(faulty, ckt::RobustConfig{});

@@ -217,6 +217,27 @@ TEST(DeckProblem, NonFiniteSpecBoundRejected) {
   }
 }
 
+TEST(DeckProblem, FrequencyGridIsBoundedAndNamedAtItsCard) {
+  // kDividerDeck's lines 2-8, then the .ac card on line 9.
+  const auto compile = [](const std::string& ac_card) {
+    return DeckProblem::from_text(std::string(kDividerDeck) + ac_card + "\n", kDividerSpec);
+  };
+  for (const std::string card : {".ac dec 10 1 0", ".ac dec 10 1k 1", ".ac dec 1000 1e-100 1e100"}) {
+    try {
+      compile(card);
+      ADD_FAILURE() << card << " compiled";
+    } catch (const spice::ParseError& e) {
+      ADD_FAILURE() << card << ": " << e.what();
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("<deck>:9"), std::string::npos) << e.what();
+    }
+  }
+  // A points-per-decade count past the int range is a syntax error, not an
+  // undefined cast.
+  EXPECT_THROW(compile(".ac dec 1e20 1 1meg"), spice::ParseError);
+  EXPECT_NO_THROW(compile(".ac dec 10 1 1meg"));
+}
+
 TEST(DeckProblem, DesignableDrivingFixedFieldRejected) {
   // Inductor values are fixed at netlist-build time.
   EXPECT_THROW(DeckProblem::from_text(R"(

@@ -376,22 +376,10 @@ TEST_F(ServiceFixture, SessionPoolCreatesAtMostOneSessionPerWorker) {
   EXPECT_EQ(c.simulations, c.misses - c.coalesced);
 }
 
-TEST_F(ServiceFixture, SessionsDisabledNeverCreatesSessions) {
-  SessionCountingProblem problem(quad);
-  EvalServiceConfig config;
-  config.use_sessions = false;
-  EvalService service(problem, config);
-  service.evaluate({0.1, 0.2, 0.3});
-  std::vector<Vec> designs = {{0.3, 0.2, 0.1}, {0.4, 0.2, 0.1}};
-  service.evaluate_batch(designs, nullptr);
-  EXPECT_EQ(problem.sessions_created.load(), 0);
-}
-
 TEST(EvalServiceSessions, CircuitBatchThroughSessionsMatchesPointPath) {
   ckt::TwoStageOta ota;
   EvalServiceConfig config;
   config.num_threads = 2;
-  ASSERT_TRUE(config.use_sessions);  // default on
   EvalService service(ota, config);
 
   maopt::Rng rng(123);
@@ -418,7 +406,6 @@ TEST(ServiceSweep, EvaluateAtUsesPerVariantCacheKeys) {
   ckt::testing::VariedAnalytic varied;
   CountingProblem counting(varied);
   EvalServiceConfig config;
-  config.use_sessions = false;  // CountingProblem counts evaluate() only
   EvalService service(counting, config);
 
   const Vec x{0.4, 0.6};

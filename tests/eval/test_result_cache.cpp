@@ -6,8 +6,10 @@
 #include <fstream>
 #include <string>
 
+#include "../support/corrupt_file_replay.hpp"
 #include "circuits/analytic_problems.hpp"
 #include "circuits/resilient_problem.hpp"
+#include "common/log.hpp"
 
 namespace maopt::eval {
 namespace {
@@ -192,6 +194,22 @@ TEST(CacheKeyTest, DistinctProblemsNeverShareKeys) {
   const CacheKey b = make_cache_key(2, x, 0.0);
   EXPECT_FALSE(a == b);
   EXPECT_TRUE(a == make_cache_key(1, x, 0.0));
+}
+
+TEST(CorruptionReplay, JournalRecoversFromEveryMutant) {
+  const auto dir = maopt::testing::replay_dir("journal");
+  const std::string reference_path = (dir / "reference.bin").string();
+  maopt::testing::write_reference_journal(reference_path);
+  const std::string reference = maopt::testing::read_file_bytes(reference_path);
+
+  const LogLevel level = log_level();
+  set_log_level(LogLevel::Off);  // every mutant logs its recovery
+  const auto tally = maopt::testing::replay_corruptions(
+      reference, (dir / "mutant.bin").string(), 8, maopt::testing::load_journal_file);
+  set_log_level(level);
+  EXPECT_EQ(tally.rejected, 0) << "a corrupt journal is recovered, never rejected";
+  EXPECT_GT(tally.loaded, 0);
+  fs::remove_all(dir);
 }
 
 }  // namespace

@@ -347,15 +347,15 @@ TEST_F(JsonlFixture, SweepBracketsWriteTheDocumentedSchema) {
     } else if (kind == "sweep_variant") {
       ++variants;
       EXPECT_FALSE(open_id.empty()) << "variant outside bracket: " << line;
-      for (const char* key : {"sweep_id", "variant", "label", "ok", "skipped", "fom0",
-                              "seconds", "t"})
+      for (const char* key : {"sweep_id", "variant", "label", "ok", "fom0", "seconds", "t"})
         EXPECT_EQ(fields.count(key), 1u) << key << " missing: " << line;
+      EXPECT_EQ(fields.count("skipped"), 0u) << line;
     } else if (kind == "sweep_completed") {
       ++completed;
       EXPECT_FALSE(open_id.empty()) << "completed outside bracket: " << line;
-      for (const char* key : {"sweep_id", "ok", "failed", "skipped", "degraded", "policy",
-                              "seconds", "t"})
+      for (const char* key : {"sweep_id", "ok", "failed", "degraded", "policy", "seconds", "t"})
         EXPECT_EQ(fields.count(key), 1u) << key << " missing: " << line;
+      EXPECT_EQ(fields.count("skipped"), 0u) << line;
       EXPECT_EQ(fields["policy"], "penalize-failed");
       open_id.clear();
     } else {

@@ -88,8 +88,6 @@ class SeedFailInjector final : public SizingProblem {
     return r;
   }
 
-  void set_fail_seeds(std::set<std::uint64_t> fail_seeds) { fail_seeds_ = std::move(fail_seeds); }
-
  private:
   const SizingProblem* inner_;
   std::set<std::uint64_t> fail_seeds_;

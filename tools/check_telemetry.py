@@ -17,10 +17,9 @@ corner / Monte Carlo sweep problems — see "Robust & yield workloads"):
   * brackets never interleave: at most one sweep is open at a time, and
     every sweep_variant / sweep_completed carries the open sweep_id;
   * a bracket holds exactly the declared number of sweep_variant events;
-  * sweep_completed tallies are consistent: ok + failed + skipped equals
-    the declared variant count and matches the per-variant events;
-  * a variant is never both ok and skipped, and a degraded sweep has both
-    lost variants and survivors (whole-sweep failures report their losses
+  * sweep_completed tallies are consistent: ok + failed equals the
+    declared variant count and matches the per-variant events;
+  * a degraded sweep has both lost variants and survivors (whole-sweep failures report their losses
     with degraded = false).
 Non-sweep events may appear inside a sweep bracket (evaluating threads
 emit concurrently with the optimizer), but sweep events may not.
@@ -82,8 +81,8 @@ REQUIRED_KEYS = {
         "abort_reason", "wall_seconds", "counters", "t",
     },
     "sweep_started": {"sweep_id", "kind", "aggregation", "variants", "t"},
-    "sweep_variant": {"sweep_id", "variant", "label", "ok", "skipped", "fom0", "seconds", "t"},
-    "sweep_completed": {"sweep_id", "ok", "failed", "skipped", "degraded", "policy", "seconds", "t"},
+    "sweep_variant": {"sweep_id", "variant", "label", "ok", "fom0", "seconds", "t"},
+    "sweep_completed": {"sweep_id", "ok", "failed", "degraded", "policy", "seconds", "t"},
     "job_submitted": {
         "job_id", "name", "tenant", "problem", "algorithm", "seed", "simulation_budget", "t",
     },
@@ -207,7 +206,6 @@ class Checker:
             "variants": variants,
             "ok": 0,
             "failed": 0,
-            "skipped": 0,
         }
 
     def on_sweep_variant(self, lineno, event):
@@ -219,15 +217,11 @@ class Checker:
                                f"match the open bracket ({self.sweep['id']})")
         if event.get("seconds", 0) < 0:
             self.error(lineno, "negative sweep variant seconds")
-        if event.get("ok") and event.get("skipped"):
-            self.error(lineno, "sweep variant both ok and skipped")
-        if event.get("skipped"):
-            self.sweep["skipped"] += 1
-        elif event.get("ok"):
+        if event.get("ok"):
             self.sweep["ok"] += 1
         else:
             self.sweep["failed"] += 1
-        total = self.sweep["ok"] + self.sweep["failed"] + self.sweep["skipped"]
+        total = self.sweep["ok"] + self.sweep["failed"]
         if total > self.sweep["variants"]:
             self.error(lineno, f"more sweep_variant events than the declared "
                                f"{self.sweep['variants']} variants")
@@ -247,25 +241,23 @@ class Checker:
             self.error(lineno, "negative sweep seconds")
         ok = event.get("ok", 0)
         failed = event.get("failed", 0)
-        skipped = event.get("skipped", 0)
         for name, expected, got in (
             ("ok", sweep["ok"], ok),
             ("failed", sweep["failed"], failed),
-            ("skipped", sweep["skipped"], skipped),
         ):
             if expected != got:
                 self.error(lineno, f"sweep_completed {name}={got} but the bracket has "
                                    f"{expected} such sweep_variant events")
-        if ok + failed + skipped != sweep["variants"]:
-            self.error(lineno, f"sweep tallies ({ok} + {failed} + {skipped}) do not cover "
+        if ok + failed != sweep["variants"]:
+            self.error(lineno, f"sweep tallies ({ok} + {failed}) do not cover "
                                f"the declared {sweep['variants']} variants")
         # degraded marks a *partial* loss that was absorbed into the
         # aggregate: it requires lost variants AND survivors. Whole-sweep
         # failures (fail-fast, every variant down, below min_ok_fraction)
         # report their losses with degraded = false.
         if event.get("degraded"):
-            if failed + skipped == 0:
-                self.error(lineno, "sweep marked degraded but no variant failed or was skipped")
+            if failed == 0:
+                self.error(lineno, "sweep marked degraded but no variant failed")
             if ok == 0:
                 self.error(lineno, "sweep marked degraded but no variant succeeded "
                                    "(should be a whole-sweep failure)")
