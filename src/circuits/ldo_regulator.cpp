@@ -290,22 +290,7 @@ std::vector<std::string> LdoRegulator::parameter_names() const {
           "R1", "R2", "C",  "N1", "N2", "N3"};
 }
 
-EvalResult LdoRegulator::evaluate(const Vec& x) const {
-  // Fresh session per call: thread-safe, identical to a persistent session.
-  return LdoSession(*this, variation_, profile_).evaluate(x);
-}
-
-std::unique_ptr<EvalSession> LdoRegulator::make_session() const {
-  return std::make_unique<LdoSession>(*this, variation_, profile_);
-}
-
-EvalResult LdoRegulator::evaluate_at(const Vec& x, const ProcessVariation& pv) const {
-  validate_process_variation(pv);
-  return LdoSession(*this, pv, profile_).evaluate(x);
-}
-
-std::unique_ptr<EvalSession> LdoRegulator::make_session_at(const ProcessVariation& pv) const {
-  validate_process_variation(pv);
+std::unique_ptr<EvalSession> LdoRegulator::open_session(const ProcessVariation& pv) const {
   return std::make_unique<LdoSession>(*this, pv, profile_);
 }
 

@@ -62,30 +62,4 @@ ProcessVariation corner_variation(ProcessCorner corner, double vth_step, double 
   return pv;
 }
 
-std::vector<EvalResult> evaluate_corners(const SizingProblem& problem, const Vec& x,
-                                         double vth_step, double kp_step_rel) {
-  std::vector<EvalResult> results;
-  for (const auto corner : {ProcessCorner::TT, ProcessCorner::FF, ProcessCorner::SS,
-                            ProcessCorner::FS, ProcessCorner::SF})
-    results.push_back(problem.evaluate_at(x, corner_variation(corner, vth_step, kp_step_rel)));
-  return results;
-}
-
-YieldResult estimate_yield(const SizingProblem& problem, const Vec& x, int instances,
-                           double sigma_vth, double sigma_kp_rel) {
-  YieldResult result;
-  result.total = instances;
-  for (int k = 0; k < instances; ++k) {
-    ProcessVariation pv;
-    pv.sigma_vth = sigma_vth;
-    pv.sigma_kp_rel = sigma_kp_rel;
-    pv.seed = static_cast<std::uint64_t>(k);
-    const EvalResult eval = problem.evaluate_at(x, pv);
-    if (!eval.simulation_ok) ++result.simulation_failures;
-    if (eval.simulation_ok && problem.feasible(eval.metrics)) ++result.feasible;
-    result.metric_samples.push_back(eval.metrics);
-  }
-  return result;
-}
-
 }  // namespace maopt::ckt

@@ -1,11 +1,12 @@
-// Process variation and yield estimation — an extension beyond the paper.
+// Process variation — an extension beyond the paper.
 //
-// Each testbench can be put into a "varied" mode where every MOSFET's
-// threshold voltage and transconductance parameter receive independent,
-// deterministic Gaussian perturbations (local mismatch), seeded per Monte
-// Carlo instance. estimate_yield() then answers the question the paper's
-// nominal-only evaluation leaves open: how robust is an optimized design to
-// fabrication spread?
+// A testbench simulated under an enabled ProcessVariation (evaluate_at /
+// make_session_at) gives every MOSFET a corner shift plus independent,
+// deterministic Gaussian perturbations of its threshold voltage and
+// transconductance parameter (local mismatch), seeded per Monte Carlo
+// instance. RobustProblem and YieldProblem (robust_problem.hpp) sweep these
+// to answer the question the paper's nominal-only evaluation leaves open:
+// how robust is an optimized design to fabrication spread?
 #pragma once
 
 #include <cstdint>
@@ -28,27 +29,5 @@ const char* corner_name(ProcessCorner corner);
 /// `vth_step` and KP raised by `kp_step_rel`; slow = the opposite.
 ProcessVariation corner_variation(ProcessCorner corner, double vth_step = 0.03,
                                   double kp_step_rel = 0.10);
-
-/// Evaluates `x` at all five corners; returns one EvalResult per corner in
-/// enum order. Runs through the thread-safe evaluate_at primitive, so the
-/// problem's ambient variation state is never touched.
-std::vector<EvalResult> evaluate_corners(const SizingProblem& problem, const Vec& x,
-                                         double vth_step = 0.03, double kp_step_rel = 0.10);
-
-struct YieldResult {
-  int feasible = 0;
-  int total = 0;
-  int simulation_failures = 0;
-  double yield() const { return total > 0 ? static_cast<double>(feasible) / total : 0.0; }
-  /// Per-instance metric vectors (for spread reporting).
-  std::vector<Vec> metric_samples;
-};
-
-/// Evaluates design `x` under `instances` Monte Carlo mismatch draws with
-/// the given sigmas (instance k draws from seed k). Runs through the
-/// thread-safe evaluate_at primitive, so the problem's ambient variation
-/// state is never touched and the call is safe under concurrent evaluates.
-YieldResult estimate_yield(const SizingProblem& problem, const Vec& x, int instances,
-                           double sigma_vth, double sigma_kp_rel);
 
 }  // namespace maopt::ckt

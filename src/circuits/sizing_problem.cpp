@@ -77,11 +77,21 @@ std::unique_ptr<EvalSession> SizingProblem::make_session() const {
   return std::make_unique<ForwardingSession>(*this);
 }
 
-EvalResult SizingProblem::evaluate_at(const Vec& x, const ProcessVariation& pv) const {
+void SizingProblem::check_variation(const ProcessVariation& pv, const char* caller) const {
   validate_process_variation(pv);
   MAOPT_CHECK(!pv.enabled() || supports_process_variation(),
-              "evaluate_at: enabled variation on a problem without variation support");
+              std::string(caller) + ": enabled variation on a problem without variation support");
+}
+
+EvalResult SizingProblem::evaluate_at(const Vec& x, const ProcessVariation& pv) const {
+  check_variation(pv, "evaluate_at");
   return evaluate(x);
+}
+
+void SizingProblem::set_process_variation(const ProcessVariation& /*pv*/) {
+  throw ContractViolation(
+      "set_process_variation: problems hold no variation state; pass the variation to "
+      "evaluate_at(x, pv) or make_session_at(pv)");
 }
 
 std::vector<EvalResult> SizingProblem::evaluate_batch(std::span<const Vec> xs,
@@ -107,11 +117,26 @@ std::vector<EvalResult> SizingProblem::evaluate_variants(
 }
 
 std::unique_ptr<EvalSession> SizingProblem::make_session_at(const ProcessVariation& pv) const {
-  validate_process_variation(pv);
-  MAOPT_CHECK(!pv.enabled() || supports_process_variation(),
-              "make_session_at: enabled variation on a problem without variation support");
+  check_variation(pv, "make_session_at");
   if (!pv.enabled()) return make_session();
   return std::make_unique<VariedForwardingSession>(*this, pv);
+}
+
+EvalResult CircuitProblem::evaluate(const Vec& x) const {
+  return open_session(ProcessVariation{})->evaluate(x);
+}
+
+EvalResult CircuitProblem::evaluate_at(const Vec& x, const ProcessVariation& pv) const {
+  return make_session_at(pv)->evaluate(x);
+}
+
+std::unique_ptr<EvalSession> CircuitProblem::make_session() const {
+  return open_session(ProcessVariation{});
+}
+
+std::unique_ptr<EvalSession> CircuitProblem::make_session_at(const ProcessVariation& pv) const {
+  check_variation(pv, "make_session_at");
+  return open_session(pv);
 }
 
 double normalized_violation(const ConstraintSpec& c, double value) {

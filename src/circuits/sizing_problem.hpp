@@ -120,13 +120,12 @@ struct EvalResult {
 /// Reusable single-threaded evaluator for one problem. Circuit problems back
 /// this with persistent testbench netlists and solver workspaces, so that
 /// evaluating many same-topology designs amortizes everything that is
-/// design-independent (netlist construction, matrix/LU storage). Results
-/// must be identical to the owning problem's evaluate() for the same design
-/// and process-variation settings.
+/// design-independent (netlist construction, matrix/LU storage). A session
+/// is pinned to the variation it was made at (make_session(): nominal), and
+/// its results must be identical to the owning problem's evaluate_at() for
+/// the same design and variation.
 ///
-/// A session is NOT thread-safe — one session per worker thread. It
-/// snapshots the problem's process-variation settings at creation; create a
-/// fresh session after set_process_variation().
+/// A session is NOT thread-safe — one session per worker thread.
 class EvalSession {
  public:
   virtual ~EvalSession() = default;
@@ -150,15 +149,14 @@ class SizingProblem {
   /// netlist per call.
   virtual EvalResult evaluate(const Vec& x) const = 0;
 
-  /// Simulates design x under the given variation setting WITHOUT touching
-  /// the problem's ambient variation state — the thread-safe primitive corner
-  /// sweeps and Monte Carlo yield estimation are built on (the legacy
-  /// set_process_variation() + evaluate() sequence mutates shared state and
-  /// cannot run concurrently). Must be thread-safe whenever evaluate() is.
-  /// The default contract-checks pv and forwards to evaluate(): correct for
-  /// variation-free problems at nominal, a ContractViolation when an enabled
-  /// pv reaches a problem without variation support. Variation-capable
-  /// circuits and decorators override.
+  /// Simulates design x under variation `pv` — the only way a design is
+  /// simulated off nominal (a problem holds no variation state, so
+  /// evaluate(x) means evaluate_at(x, {})). Corner sweeps and Monte Carlo
+  /// yield estimation are built on it. Must be thread-safe whenever
+  /// evaluate() is. The default contract-checks pv and forwards to
+  /// evaluate(): correct for variation-free problems at nominal, a
+  /// ContractViolation when an enabled pv reaches a problem without
+  /// variation support. Circuits (CircuitProblem) and decorators override.
   virtual EvalResult evaluate_at(const Vec& x, const ProcessVariation& pv) const;
 
   /// Evaluates every design of `xs`, positionally. Never throws for a single
@@ -194,10 +192,13 @@ class SizingProblem {
   /// {failure_metrics(), simulation_ok = false} tagged with `kind`.
   EvalResult failure_result(FailureKind kind) const;
 
-  /// Process-variation hooks: circuits that support Monte Carlo mismatch
-  /// override these; analytic problems ignore them.
-  virtual void set_process_variation(const ProcessVariation& pv) { (void)pv; }
+  /// True when evaluate_at / make_session_at accept an enabled variation.
   virtual bool supports_process_variation() const { return false; }
+
+  /// Always throws ContractViolation naming evaluate_at / make_session_at: a
+  /// problem holds no variation state to set. Virtual only so that
+  /// decorators which forward it still compile.
+  virtual void set_process_variation(const ProcessVariation& pv);
 
   /// Content fingerprint for data-defined problems: a stable hash of the
   /// problem's *semantic payload* beyond what spec()/bounds expose (e.g. the
@@ -217,6 +218,33 @@ class SizingProblem {
 
   /// True when all constraints in `metrics` are satisfied.
   bool feasible(const Vec& metrics) const;
+
+ protected:
+  /// Contract-checks `pv` (validate_process_variation) and that an enabled
+  /// one reaches a problem that supports variation; `caller` names the entry
+  /// point in the message.
+  void check_variation(const ProcessVariation& pv, const char* caller) const;
+};
+
+/// Base of every simulated circuit: the C++ testbenches and
+/// deck::DeckProblem. A circuit holds no variation state. Every entry point
+/// opens a session through the one open_session() hook — at nominal for
+/// evaluate / make_session, at a checked pv for evaluate_at /
+/// make_session_at — and the point calls evaluate once through it, so
+/// evaluate(x), evaluate_at(x, {}), make_session() and make_session_at({})
+/// agree bit for bit by construction. A fresh session per point call keeps
+/// them thread-safe.
+class CircuitProblem : public SizingProblem {
+ public:
+  EvalResult evaluate(const Vec& x) const final;
+  EvalResult evaluate_at(const Vec& x, const ProcessVariation& pv) const final;
+  std::unique_ptr<EvalSession> make_session() const final;
+  std::unique_ptr<EvalSession> make_session_at(const ProcessVariation& pv) const final;
+  bool supports_process_variation() const override { return true; }
+
+ protected:
+  /// A fresh session simulating under `pv`, which the caller has checked.
+  virtual std::unique_ptr<EvalSession> open_session(const ProcessVariation& pv) const = 0;
 };
 
 /// Signed normalized violation of constraint `k` (0 when satisfied):

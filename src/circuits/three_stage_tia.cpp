@@ -254,22 +254,7 @@ std::vector<std::string> ThreeStageTia::parameter_names() const {
   return {"L1", "L2", "L3", "L4", "L5", "W1", "W2", "W3", "W4", "W5", "R", "Cf", "N1", "N2", "N3"};
 }
 
-EvalResult ThreeStageTia::evaluate(const Vec& x) const {
-  // Fresh session per call: thread-safe, identical to a persistent session.
-  return TiaSession(*this, variation_).evaluate(x);
-}
-
-std::unique_ptr<EvalSession> ThreeStageTia::make_session() const {
-  return std::make_unique<TiaSession>(*this, variation_);
-}
-
-EvalResult ThreeStageTia::evaluate_at(const Vec& x, const ProcessVariation& pv) const {
-  validate_process_variation(pv);
-  return TiaSession(*this, pv).evaluate(x);
-}
-
-std::unique_ptr<EvalSession> ThreeStageTia::make_session_at(const ProcessVariation& pv) const {
-  validate_process_variation(pv);
+std::unique_ptr<EvalSession> ThreeStageTia::open_session(const ProcessVariation& pv) const {
   return std::make_unique<TiaSession>(*this, pv);
 }
 

@@ -314,23 +314,7 @@ std::vector<std::string> TwoStageOta::parameter_names() const {
           "R",  "C",  "Cf", "N1", "N2", "N3"};
 }
 
-EvalResult TwoStageOta::evaluate(const Vec& x) const {
-  // A fresh session per call: thread-safe by construction, identical results
-  // to a persistent session (which only amortizes construction).
-  return OtaSession(*this, variation_).evaluate(x);
-}
-
-std::unique_ptr<EvalSession> TwoStageOta::make_session() const {
-  return std::make_unique<OtaSession>(*this, variation_);
-}
-
-EvalResult TwoStageOta::evaluate_at(const Vec& x, const ProcessVariation& pv) const {
-  validate_process_variation(pv);
-  return OtaSession(*this, pv).evaluate(x);
-}
-
-std::unique_ptr<EvalSession> TwoStageOta::make_session_at(const ProcessVariation& pv) const {
-  validate_process_variation(pv);
+std::unique_ptr<EvalSession> TwoStageOta::open_session(const ProcessVariation& pv) const {
   return std::make_unique<OtaSession>(*this, pv);
 }
 

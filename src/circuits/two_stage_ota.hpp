@@ -21,7 +21,7 @@
 
 namespace maopt::ckt {
 
-class TwoStageOta final : public SizingProblem {
+class TwoStageOta final : public CircuitProblem {
  public:
   TwoStageOta();
 
@@ -31,21 +31,6 @@ class TwoStageOta final : public SizingProblem {
   const Vec& upper_bounds() const override { return upper_; }
   const std::vector<bool>& integer_mask() const override { return integer_; }
   std::vector<std::string> parameter_names() const override;
-
-  EvalResult evaluate(const Vec& x) const override;
-
-  /// Persistent-testbench session: amortizes netlist construction and solver
-  /// workspaces across same-topology designs (see EvalSession).
-  std::unique_ptr<EvalSession> make_session() const override;
-
-  /// Monte Carlo mismatch support (see process_variation.hpp).
-  void set_process_variation(const ProcessVariation& pv) override { variation_ = pv; }
-  bool supports_process_variation() const override { return true; }
-
-  /// Thread-safe variation-pinned evaluation: simulates under `pv` without
-  /// touching the ambient variation state (the sweep-engine primitive).
-  EvalResult evaluate_at(const Vec& x, const ProcessVariation& pv) const override;
-  std::unique_ptr<EvalSession> make_session_at(const ProcessVariation& pv) const override;
 
   /// Indices of the metric columns, for tests and reporting.
   enum Metric {
@@ -60,11 +45,14 @@ class TwoStageOta final : public SizingProblem {
     kNoiseMvrms,
   };
 
+ protected:
+  /// Persistent-testbench session at `pv` (see CircuitProblem).
+  std::unique_ptr<EvalSession> open_session(const ProcessVariation& pv) const override;
+
  private:
   ProblemSpec spec_;
   Vec lower_, upper_;
   std::vector<bool> integer_;
-  ProcessVariation variation_;
 };
 
 }  // namespace maopt::ckt

@@ -30,26 +30,13 @@ std::uint64_t hash_u64(std::uint64_t value, std::uint64_t seed) {
   return h;
 }
 
-std::int64_t quantize_coord(double v, double epsilon) {
-  MAOPT_CHECK(!std::isnan(v), "quantize_coord: NaN coordinate cannot be content-addressed");
-  if (epsilon <= 0.0) {
-    // Exact addressing: the IEEE bit pattern, with -0.0 canonicalized so the
-    // two zeros (which compare equal) share an address.
-    if (v == 0.0) v = 0.0;
-    return static_cast<std::int64_t>(std::bit_cast<std::uint64_t>(v));
-  }
-  const double q = v / epsilon;
-  // Saturate instead of invoking the UB of an out-of-range llround.
-  constexpr double kMax = 9.2233720368547672e18;  // just below 2^63 - 1
-  if (q >= kMax) return INT64_MAX;
-  if (q <= -kMax) return INT64_MIN;
-  return std::llround(q);
-}
-
-std::uint64_t hash_design(std::span<const double> x, double epsilon, std::uint64_t seed) {
+std::uint64_t hash_design(std::span<const double> x, std::uint64_t seed) {
   std::uint64_t h = hash_u64(static_cast<std::uint64_t>(x.size()), seed);
-  for (const double v : x)
-    h = hash_u64(static_cast<std::uint64_t>(quantize_coord(v, epsilon)), h);
+  for (double v : x) {
+    MAOPT_CHECK(!std::isnan(v), "hash_design: NaN coordinate cannot be content-addressed");
+    if (v == 0.0) v = 0.0;  // -0.0 and +0.0 compare equal, so they share an address
+    h = hash_u64(std::bit_cast<std::uint64_t>(v), h);
+  }
   return h;
 }
 

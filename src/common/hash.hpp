@@ -7,10 +7,9 @@
 //     patterns and 64-bit integer arithmetic (FNV-1a), so the same design
 //     hashes identically across compilers, architectures and runs — the
 //     property that lets an on-disk result journal be reused cross-run.
-//   * Quantization-aware: with epsilon > 0 each coordinate is bucketed to
-//     round(x / epsilon) before hashing, so designs within epsilon/2 of the
-//     same grid point share a hash. epsilon <= 0 hashes exact bit patterns
-//     (after canonicalizing -0.0 to +0.0 so the two zeros coincide).
+//   * Bit-exact: each coordinate is hashed by its exact bit pattern, after
+//     canonicalizing -0.0 to +0.0 so the two zeros (which compare equal)
+//     coincide. Adjacent representable doubles hash apart.
 //   * NaN-hostile: NaN coordinates are a contract violation — a NaN design
 //     cannot be content-addressed (NaN != NaN) and never reaches a cache key
 //     in a correct run.
@@ -31,15 +30,9 @@ std::uint64_t hash_bytes(const void* data, std::size_t len, std::uint64_t seed =
 /// byte order regardless of host endianness).
 std::uint64_t hash_u64(std::uint64_t value, std::uint64_t seed);
 
-/// Quantizes one coordinate: round-half-away-from-zero of v / epsilon for
-/// epsilon > 0 (saturating at the int64 range so huge magnitudes cannot
-/// overflow into UB), the canonicalized bit pattern for epsilon <= 0.
-/// NaN input is a contract violation.
-std::int64_t quantize_coord(double v, double epsilon);
-
-/// Hash of a whole design vector under the given quantization epsilon. The
-/// length is folded in first, so a prefix never collides with its extension.
-std::uint64_t hash_design(std::span<const double> x, double epsilon = 0.0,
-                          std::uint64_t seed = kHashSeed);
+/// Hash of a whole design vector. The length is folded in first, so a prefix
+/// never collides with its extension. A NaN coordinate is a contract
+/// violation.
+std::uint64_t hash_design(std::span<const double> x, std::uint64_t seed = kHashSeed);
 
 }  // namespace maopt

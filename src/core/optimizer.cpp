@@ -24,18 +24,17 @@ std::vector<SimRecord> warm_start_records(const eval::EvalService& service,
                                           const SizingProblem& problem, const FomEvaluator& fom,
                                           std::size_t max) {
   if (max == 0) return {};
-  const double epsilon = service.config().quant_epsilon;
 
   // Designs already present in the initial set must not be duplicated: a
   // duplicate would bias the critic pseudo-pool toward them for free.
   std::unordered_set<eval::CacheKey, eval::CacheKeyHash> seen;
   seen.reserve(initial.size());
   for (const SimRecord& r : initial)
-    seen.insert(eval::make_cache_key(service.fingerprint(), r.x, epsilon));
+    seen.insert(eval::make_cache_key(service.fingerprint(), r.x));
 
   std::vector<SimRecord> warm;
   for (eval::CachedEval& cached : service.cached()) {
-    const eval::CacheKey key = eval::make_cache_key(service.fingerprint(), cached.x, epsilon);
+    const eval::CacheKey key = eval::make_cache_key(service.fingerprint(), cached.x);
     if (!seen.insert(key).second) continue;
     SimRecord record;
     record.x = std::move(cached.x);

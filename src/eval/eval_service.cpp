@@ -1,11 +1,10 @@
 #include "eval/eval_service.hpp"
 
-#include <cmath>
+#include <algorithm>
 #include <filesystem>
 #include <thread>
 #include <utility>
 
-#include "common/check.hpp"
 #include "common/log.hpp"
 #include "common/thread_pool.hpp"
 
@@ -58,12 +57,9 @@ EvalService::EvalService(const ckt::SizingProblem& inner, EvalServiceConfig conf
     : inner_(&inner),
       config_(std::move(config)),
       problem_fp_(problem_fingerprint(inner)) {
-  MAOPT_CHECK(std::isfinite(config_.quant_epsilon) && config_.quant_epsilon >= 0.0,
-              "EvalService: quant_epsilon must be finite and >= 0");
   ResultCache::Config cache_config;
   cache_config.memory_capacity = config_.memory_capacity;
   cache_config.journal_path = journal_path_for(config_.cache_dir);
-  cache_config.quant_epsilon = config_.quant_epsilon;
   cache_ = std::make_unique<ResultCache>(std::move(cache_config));
 }
 
@@ -87,7 +83,6 @@ void EvalService::register_tenant(const std::string& name, const std::string& ca
   ResultCache::Config cache_config;
   cache_config.memory_capacity = config_.memory_capacity;
   cache_config.journal_path = journal_path_for(cache_dir);
-  cache_config.quant_epsilon = config_.quant_epsilon;
   tenants_.emplace(name, std::make_unique<ResultCache>(std::move(cache_config)));
 }
 
@@ -195,7 +190,7 @@ ckt::EvalResult EvalService::evaluate_impl(const Vec& x, const ckt::ProcessVaria
   // caches (and dedups) independently; nominal keys are unchanged.
   const std::uint64_t fp =
       pv.enabled() ? problem_fp_ ^ variation_fingerprint(pv) : problem_fp_;
-  const CacheKey key = make_cache_key(fp, x, config_.quant_epsilon);
+  const CacheKey key = make_cache_key(fp, x);
 
   // Fast path: already cached (in this request's tenant namespace).
   const auto hit = [this](Vec metrics) {

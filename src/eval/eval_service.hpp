@@ -5,7 +5,7 @@
 // three wins:
 //
 //   * Content-addressed result cache. Each request is keyed by
-//     (problem fingerprint, quantized design); a hit returns the stored
+//     (problem fingerprint, design), bit-exact; a hit returns the stored
 //     metrics without touching the simulator. Two levels — in-memory LRU +
 //     optional on-disk journal (result_cache.hpp) — so results survive the
 //     process and warm-start later runs.
@@ -63,7 +63,6 @@ struct EvalServiceConfig {
   /// Directory for the persistent journal (`eval_cache.bin` inside it);
   /// empty disables persistence (memory-only cache).
   std::string cache_dir;
-  double quant_epsilon = 0.0;  ///< design quantization for cache keys; finite, >= 0
 };
 
 /// Monotonic service totals. Invariants (validated by check_telemetry.py):
@@ -224,10 +223,11 @@ class EvalService final : public ckt::SizingProblem {
   /// Session pool: producers check a session out for the duration of one
   /// simulation and return it afterwards, so concurrent batch workers each
   /// drive their own persistent testbench. Sessions amortize netlist
-  /// construction and solver workspaces across same-topology designs; they
-  /// are built at the nominal variation, which the service assumes fixed
-  /// for its lifetime (the cache fingerprint makes the same assumption). A
-  /// session whose evaluation threw is discarded, not returned.
+  /// construction and solver workspaces across same-topology designs. They
+  /// are all nominal (make_session()): problems hold no variation state, so
+  /// a nominal key always means a nominal simulation, and an enabled
+  /// variation goes through the inner evaluate_at instead. A session whose
+  /// evaluation threw is discarded, not returned.
   std::unique_ptr<ckt::EvalSession> acquire_session() const;
   void release_session(std::unique_ptr<ckt::EvalSession> session) const;
 

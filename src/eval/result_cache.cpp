@@ -67,17 +67,17 @@ std::uint64_t problem_fingerprint(const ckt::SizingProblem& problem) {
   const ckt::ProblemSpec& spec = problem.spec();
   std::uint64_t h = hash_bytes(spec.name.data(), spec.name.size());
   h = hash_bytes(spec.target_name.data(), spec.target_name.size(), h);
-  h = hash_design({&spec.target_weight, 1}, 0.0, h);
+  h = hash_design({&spec.target_weight, 1}, h);
   h = hash_u64(spec.constraints.size(), h);
   for (const auto& c : spec.constraints) {
     h = hash_bytes(c.name.data(), c.name.size(), h);
     h = hash_u64(static_cast<std::uint64_t>(c.kind), h);
     const double bw[2] = {c.bound, c.weight};
-    h = hash_design(bw, 0.0, h);
+    h = hash_design(bw, h);
   }
   h = hash_u64(problem.dim(), h);
-  h = hash_design(problem.lower_bounds(), 0.0, h);
-  h = hash_design(problem.upper_bounds(), 0.0, h);
+  h = hash_design(problem.lower_bounds(), h);
+  h = hash_design(problem.upper_bounds(), h);
   for (const bool b : problem.integer_mask()) h = hash_u64(b ? 1 : 0, h);
   // Data-defined problems (deck-compiled circuits) carry a content hash of
   // their semantic payload; folded only when present so every fingerprint —
@@ -91,13 +91,13 @@ std::uint64_t variation_fingerprint(const ckt::ProcessVariation& pv) {
   if (!pv.enabled()) return 0;
   const double fields[6] = {pv.sigma_vth,      pv.sigma_kp_rel,  pv.nmos_vth_shift,
                             pv.pmos_vth_shift, pv.nmos_kp_factor, pv.pmos_kp_factor};
-  return hash_design(fields, 0.0, hash_u64(pv.seed, kKeySeedLo));
+  return hash_design(fields, hash_u64(pv.seed, kKeySeedLo));
 }
 
-CacheKey make_cache_key(std::uint64_t problem_fp, std::span<const double> x, double epsilon) {
+CacheKey make_cache_key(std::uint64_t problem_fp, std::span<const double> x) {
   CacheKey key;
-  key.hi = hash_design(x, epsilon, hash_u64(problem_fp, kKeySeedHi));
-  key.lo = hash_design(x, epsilon, hash_u64(problem_fp, kKeySeedLo));
+  key.hi = hash_design(x, hash_u64(problem_fp, kKeySeedHi));
+  key.lo = hash_design(x, hash_u64(problem_fp, kKeySeedLo));
   return key;
 }
 
@@ -132,11 +132,11 @@ void ResultCache::load_journal() {
     } else if (version != kJournalFormatVersion) {
       log_warn() << "eval cache: journal version " << version << " unsupported; starting empty";
       dirty = true;
-    } else if (epsilon != config_.quant_epsilon) {
-      // Keys were computed under a different quantization grid: every address
-      // in the file is meaningless for this configuration.
-      log_warn() << "eval cache: journal quantization epsilon " << epsilon << " != configured "
-                 << config_.quant_epsilon << "; starting empty";
+    } else if (epsilon != 0.0) {
+      // Keys were computed on a quantization grid (an older writer): every
+      // address in the file is meaningless for bit-exact keys.
+      log_warn() << "eval cache: journal quantization epsilon " << epsilon
+                 << " != 0; starting empty";
       dirty = true;
     } else {
       in.seekg(0, std::ios::end);
@@ -314,7 +314,7 @@ void ResultCache::compact_locked() {
     if (!out) throw std::runtime_error("eval cache: cannot open '" + tmp + "' for writing");
     out.write(kJournalMagic, sizeof(kJournalMagic));
     put_pod<std::uint32_t>(out, kJournalFormatVersion);
-    put_pod<double>(out, config_.quant_epsilon);
+    put_pod<double>(out, 0.0);  // quantization epsilon: keys are bit-exact
     for (auto& [key, eval] : survivors) {
       put_pod<std::uint64_t>(out, key.hi);
       put_pod<std::uint64_t>(out, key.lo);

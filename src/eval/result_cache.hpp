@@ -1,21 +1,22 @@
 // Content-addressed evaluation-result cache — the storage half of the
 // evaluation service (eval_service.hpp).
 //
-// Keys are 128-bit hashes of (problem fingerprint, quantized design vector):
-// the fingerprint covers everything that changes what a simulation means
-// (spec, dimension, bounds, integer mask, constraint bounds/weights), and the
-// design vector is quantized by a configurable epsilon (common/hash.hpp), so
-// a journal written by one run addresses the results of any later run of the
-// same problem. Two levels:
+// Keys are 128-bit hashes of (problem fingerprint, design vector): the
+// fingerprint covers everything that changes what a simulation means (spec,
+// dimension, bounds, integer mask, constraint bounds/weights), and the design
+// vector is hashed bit-exactly (common/hash.hpp), so a journal written by one
+// run addresses the results of any later run of the same problem. Two
+// levels:
 //
 //   L1  bounded in-memory LRU of full results (metrics + the exact design
 //       that produced them).
-//   L2  append-only on-disk journal (versioned MAOPTEVC header carrying the
-//       quantization epsilon). Records are appended + flushed one at a time,
-//       so a crash loses at most the record being written; loading tolerates
-//       a truncated tail and compacts the file via tmp + rename — the same
-//       atomic-replace discipline as history_io checkpoints. An L2 hit reads
-//       the record back from disk and promotes it into L1.
+//   L2  append-only on-disk journal (versioned MAOPTEVC header whose
+//       quantization-epsilon field is always written as 0). Records are
+//       appended + flushed one at a time, so a crash loses at most the
+//       record being written; loading tolerates a truncated tail and
+//       compacts the file via tmp + rename — the same atomic-replace
+//       discipline as history_io checkpoints. An L2 hit reads the record
+//       back from disk and promotes it into L1.
 //
 // Only successful simulations are stored: a failure (timeout, garbage, NaN)
 // may be transient, and replaying it from a cache would turn a recoverable
@@ -61,7 +62,9 @@ struct CacheKeyHash {
 /// problem they wrap, which is what makes a cache survive re-wrapping.
 std::uint64_t problem_fingerprint(const ckt::SizingProblem& problem);
 
-CacheKey make_cache_key(std::uint64_t problem_fp, std::span<const double> x, double epsilon);
+/// Bit-exact content address of design `x` under problem fingerprint
+/// `problem_fp` (two independently-seeded hash_design folds).
+CacheKey make_cache_key(std::uint64_t problem_fp, std::span<const double> x);
 
 /// Stable identity hash of a process-variation setting, folded into the
 /// problem fingerprint for per-variant cache keys: corner and Monte Carlo
@@ -71,8 +74,7 @@ CacheKey make_cache_key(std::uint64_t problem_fp, std::span<const double> x, dou
 /// them every pre-existing journal, stay byte-identical.
 std::uint64_t variation_fingerprint(const ckt::ProcessVariation& pv);
 
-/// One cached evaluation: the exact design simulated (not the quantized
-/// bucket) and its metric vector. `problem_fp` routes warm starts to the
+/// One cached evaluation: the exact design simulated and its metric vector. `problem_fp` routes warm starts to the
 /// right problem when one journal holds several.
 struct CachedEval {
   std::uint64_t problem_fp = 0;
@@ -89,13 +91,13 @@ class ResultCache {
   struct Config {
     std::size_t memory_capacity = 4096;  ///< L1 entries (>= 1)
     std::string journal_path;            ///< empty: memory-only (no L2)
-    double quant_epsilon = 0.0;          ///< must match the journal's header
   };
 
   /// Loads the journal when one exists. A missing file starts empty; a
-  /// corrupt header or epsilon mismatch starts empty and logs a warning (the
-  /// stale journal is replaced on the first insert-triggered compaction); a
-  /// truncated tail keeps every complete record and compacts immediately.
+  /// corrupt header or a non-zero epsilon field (keys an older writer
+  /// quantized) starts empty and logs a warning (the stale journal is
+  /// replaced on the first insert-triggered compaction); a truncated tail
+  /// keeps every complete record and compacts immediately.
   explicit ResultCache(Config config);
 
   ResultCache(const ResultCache&) = delete;

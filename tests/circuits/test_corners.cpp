@@ -42,32 +42,37 @@ TEST(Corners, OtaPowerOrdersWithCornerSpeed) {
   TwoStageOta p;
   const linalg::Vec x =
       p.clip({1.0, 1.0, 1.0, 0.5, 0.5, 20, 10, 5, 40, 20, 2.0, 500, 1000, 4, 4, 4});
-  const auto results = evaluate_corners(p, x);
-  ASSERT_EQ(results.size(), 5u);
-  for (const auto& r : results) ASSERT_TRUE(r.simulation_ok);
-  const double tt = results[0].metrics[TwoStageOta::kPowerMw];
-  const double ff = results[1].metrics[TwoStageOta::kPowerMw];
-  const double ss = results[2].metrics[TwoStageOta::kPowerMw];
-  EXPECT_GT(ff, tt);
-  EXPECT_LT(ss, tt);
+  const auto power_at = [&](ProcessCorner corner) {
+    const EvalResult r = p.evaluate_at(x, corner_variation(corner));
+    EXPECT_TRUE(r.simulation_ok) << corner_name(corner);
+    return r.metrics[TwoStageOta::kPowerMw];
+  };
+  const double tt = power_at(ProcessCorner::TT);
+  EXPECT_GT(power_at(ProcessCorner::FF), tt);
+  EXPECT_LT(power_at(ProcessCorner::SS), tt);
 }
 
 TEST(Corners, EvaluationResetsToNominal) {
+  // A corner is an argument, not a setting: after every corner, a plain
+  // evaluate() is still nominal.
   TwoStageOta p;
   const linalg::Vec x =
       p.clip({1.0, 1.0, 1.0, 0.5, 0.5, 20, 10, 5, 40, 20, 2.0, 500, 1000, 4, 4, 4});
   const auto nominal = p.evaluate(x);
-  evaluate_corners(p, x);
-  EXPECT_EQ(p.evaluate(x).metrics, nominal.metrics);
+  for (const auto corner : {ProcessCorner::FF, ProcessCorner::SS, ProcessCorner::FS,
+                            ProcessCorner::SF}) {
+    EXPECT_NE(p.evaluate_at(x, corner_variation(corner)).metrics, nominal.metrics)
+        << corner_name(corner);
+    EXPECT_EQ(p.evaluate(x).metrics, nominal.metrics) << corner_name(corner);
+  }
 }
 
 TEST(Corners, TtCornerMatchesNominalEvaluation) {
   TwoStageOta p;
   const linalg::Vec x =
       p.clip({1.0, 1.0, 1.0, 0.5, 0.5, 20, 10, 5, 40, 20, 2.0, 500, 1000, 4, 4, 4});
-  const auto nominal = p.evaluate(x);
-  const auto results = evaluate_corners(p, x);
-  EXPECT_EQ(results[0].metrics, nominal.metrics);
+  EXPECT_EQ(p.evaluate_at(x, corner_variation(ProcessCorner::TT)).metrics,
+            p.evaluate(x).metrics);
 }
 
 }  // namespace

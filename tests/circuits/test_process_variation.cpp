@@ -6,7 +6,9 @@
 #include <limits>
 
 #include "circuits/analytic_problems.hpp"
+#include "circuits/robust_problem.hpp"
 #include "circuits/two_stage_ota.hpp"
+#include "common/check.hpp"
 
 namespace maopt::ckt {
 namespace {
@@ -39,12 +41,9 @@ TEST(ProcessVariation, AnalyticProblemsIgnoreIt) {
   ConstrainedQuadratic p(3);
   EXPECT_FALSE(p.supports_process_variation());
   const Vec x{0.3, 0.3, 0.3};
-  const auto before = p.evaluate(x);
-  ProcessVariation pv;
-  pv.sigma_vth = 0.1;
-  p.set_process_variation(pv);  // no-op
-  const auto after = p.evaluate(x);
-  EXPECT_EQ(before.metrics, after.metrics);
+  const auto nominal = p.evaluate(x);
+  EXPECT_EQ(p.evaluate_at(x, ProcessVariation{}).metrics, nominal.metrics);
+  EXPECT_EQ(p.make_session_at(ProcessVariation{})->evaluate(x).metrics, nominal.metrics);
 }
 
 TEST(ProcessVariation, OtaMetricsShiftUnderMismatch) {
@@ -58,23 +57,17 @@ TEST(ProcessVariation, OtaMetricsShiftUnderMismatch) {
   pv.sigma_vth = 0.02;
   pv.sigma_kp_rel = 0.05;
   pv.seed = 1;
-  p.set_process_variation(pv);
-  const auto varied = p.evaluate(x);
+  const auto varied = p.evaluate_at(x, pv);
   ASSERT_TRUE(varied.simulation_ok);
   // Mismatch must move at least the matching-sensitive metrics (CMRR).
   EXPECT_NE(nominal.metrics[TwoStageOta::kCmrrDb], varied.metrics[TwoStageOta::kCmrrDb]);
 
   // Same seed -> identical result; different seed -> different result.
-  const auto varied_again = p.evaluate(x);
-  EXPECT_EQ(varied.metrics, varied_again.metrics);
+  EXPECT_EQ(p.evaluate_at(x, pv).metrics, varied.metrics);
   pv.seed = 2;
-  p.set_process_variation(pv);
-  const auto other_seed = p.evaluate(x);
-  EXPECT_NE(varied.metrics, other_seed.metrics);
+  EXPECT_NE(p.evaluate_at(x, pv).metrics, varied.metrics);
 
-  p.set_process_variation(ProcessVariation{});
-  const auto back = p.evaluate(x);
-  EXPECT_EQ(back.metrics, nominal.metrics);
+  EXPECT_EQ(p.evaluate(x).metrics, nominal.metrics);
 }
 
 TEST(ProcessVariation, MismatchVisiblyMovesCmrr) {
@@ -90,35 +83,48 @@ TEST(ProcessVariation, MismatchVisiblyMovesCmrr) {
     ProcessVariation pv;
     pv.sigma_vth = 0.01;
     pv.seed = static_cast<std::uint64_t>(k);
-    p.set_process_variation(pv);
-    const auto r = p.evaluate(x);
+    const auto r = p.evaluate_at(x, pv);
     if (r.simulation_ok && std::abs(r.metrics[TwoStageOta::kCmrrDb] - nominal_cmrr) > 0.1) ++moved;
   }
-  p.set_process_variation(ProcessVariation{});
   EXPECT_GE(moved, n - 1);
 }
 
 TEST(EstimateYield, CountsAndResetsToNominal) {
+  // Yield is estimated by a YieldProblem sweep (instance k draws seed k here);
+  // the wrapped circuit is left nominal.
   TwoStageOta p;
   const Vec x = p.clip({1.0, 1.0, 1.0, 0.5, 0.5, 20, 10, 5, 40, 20, 2.0, 500, 1000, 4, 4, 4});
   const auto nominal = p.evaluate(x);
-  const YieldResult y = estimate_yield(p, x, 5, 0.01, 0.03);
-  EXPECT_EQ(y.total, 5);
-  EXPECT_EQ(y.metric_samples.size(), 5u);
-  EXPECT_GE(y.feasible, 0);
-  EXPECT_LE(y.feasible, 5);
-  EXPECT_GE(y.yield(), 0.0);
-  EXPECT_LE(y.yield(), 1.0);
-  // State restored.
+  YieldConfig config;
+  config.mismatch.instances = 5;
+  config.mismatch.sigma_vth = 0.01;
+  config.mismatch.sigma_kp_rel = 0.03;
+  config.mismatch.seed_base = 0;
+  YieldProblem yield(p, config);
+  const EvalResult aggregate = yield.evaluate(x);
+  EXPECT_EQ(aggregate.variants_total, 5u);
+  // The sweep counts exactly the instances a direct evaluate_at fails.
+  std::uint32_t failed = 0;
+  for (const auto& v : yield.variants())
+    if (!p.evaluate_at(x, v.pv).simulation_ok) ++failed;
+  EXPECT_EQ(aggregate.variants_failed, failed);
   EXPECT_EQ(p.evaluate(x).metrics, nominal.metrics);
 }
 
 TEST(EstimateYield, ZeroSigmaYieldMatchesNominalFeasibility) {
+  // With both sigmas zero an instance seed alone leaves the variation
+  // disabled, so every instance is the nominal simulation.
   TwoStageOta p;
   const Vec x = p.clip({1.0, 1.0, 1.0, 0.5, 0.5, 20, 10, 5, 40, 20, 2.0, 500, 1000, 4, 4, 4});
-  const bool nominal_feasible = p.feasible(p.evaluate(x).metrics);
-  const YieldResult y = estimate_yield(p, x, 3, 0.0, 0.0);
-  EXPECT_EQ(y.yield(), nominal_feasible ? 1.0 : 0.0);
+  const auto nominal = p.evaluate(x);
+  for (std::uint64_t k = 0; k < 3; ++k) {
+    ProcessVariation pv;
+    pv.seed = k;
+    ASSERT_FALSE(pv.enabled());
+    const auto r = p.evaluate_at(x, pv);
+    EXPECT_EQ(r.metrics, nominal.metrics);
+    EXPECT_EQ(p.feasible(r.metrics), p.feasible(nominal.metrics));
+  }
 }
 
 TEST(ValidateProcessVariation, ContractChecks) {
@@ -157,6 +163,8 @@ TEST(EvaluateAt, RejectsEnabledVariationOnUnawareProblem) {
 }
 
 TEST(EvaluateAt, DoesNotTouchAmbientVariationState) {
+  // There is no variation state to touch: a varied call leaves every later
+  // nominal call bit-identical, and set_process_variation is refused.
   TwoStageOta p;
   const Vec x = p.clip({1.0, 1.0, 1.0, 0.5, 0.5, 20, 10, 5, 40, 20, 2.0, 500, 1000, 4, 4, 4});
   const auto nominal = p.evaluate(x);
@@ -167,13 +175,11 @@ TEST(EvaluateAt, DoesNotTouchAmbientVariationState) {
   const auto varied = p.evaluate_at(x, pv);
   ASSERT_TRUE(varied.simulation_ok);
   EXPECT_NE(varied.metrics, nominal.metrics);
-  // The ambient state was never mutated: evaluate() still reports nominal.
   EXPECT_EQ(p.evaluate(x).metrics, nominal.metrics);
+  EXPECT_EQ(p.evaluate_at(x, ProcessVariation{}).metrics, nominal.metrics);
 
-  // evaluate_at matches the legacy set_process_variation + evaluate result.
-  p.set_process_variation(pv);
-  EXPECT_EQ(p.evaluate(x).metrics, varied.metrics);
-  p.set_process_variation(ProcessVariation{});
+  EXPECT_THROW(p.set_process_variation(pv), ContractViolation);
+  EXPECT_EQ(p.evaluate(x).metrics, nominal.metrics);
 }
 
 TEST(EvaluateAt, SessionPinnedToVariationMatchesEvaluateAt) {

@@ -28,16 +28,18 @@ void expect_identical(const EvalResult& got, const EvalResult& want, const char*
 
 /// Sessions reuse benches across designs; evaluate() builds fresh ones. The
 /// A, B, A' sequence (with A' == A) catches any state the second design
-/// leaks into the third evaluation.
-void check_session_identity(const SizingProblem& problem, std::uint64_t seed) {
+/// leaks into the third evaluation. An enabled `pv` checks make_session_at
+/// against evaluate_at instead.
+void check_session_identity(const SizingProblem& problem, std::uint64_t seed,
+                            const ProcessVariation& pv = {}) {
   Rng rng(seed);
   const Vec a = problem.random_design(rng);
   const Vec b = problem.random_design(rng);
 
-  const EvalResult ref_a = problem.evaluate(a);
-  const EvalResult ref_b = problem.evaluate(b);
+  const EvalResult ref_a = pv.enabled() ? problem.evaluate_at(a, pv) : problem.evaluate(a);
+  const EvalResult ref_b = pv.enabled() ? problem.evaluate_at(b, pv) : problem.evaluate(b);
 
-  const auto session = problem.make_session();
+  const auto session = pv.enabled() ? problem.make_session_at(pv) : problem.make_session();
   ASSERT_NE(session, nullptr);
   expect_identical(session->evaluate(a), ref_a, "first design");
   expect_identical(session->evaluate(b), ref_b, "second design (reused bench)");
@@ -61,12 +63,10 @@ TEST(EvalSessionTest, LdoRegulatorSessionMatchesEvaluate) {
 }
 
 TEST(EvalSessionTest, SessionSnapshotsProcessVariation) {
-  TwoStageOta ota;
   ProcessVariation pv;
   pv.sigma_vth = 5e-3;
   pv.seed = 7;
-  ota.set_process_variation(pv);
-  check_session_identity(ota, 45);
+  check_session_identity(TwoStageOta{}, 45, pv);
 }
 
 TEST(EvalSessionTest, DefaultSessionForwardsForAnalyticProblems) {

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cmath>
 #include <functional>
 #include <thread>
 #include <vector>
@@ -317,17 +318,19 @@ TEST_F(ServiceFixture, CachedExposesEvaluatedDesigns) {
   EXPECT_EQ(cached[0].metrics, quad.evaluate(a).metrics);
 }
 
-TEST_F(ServiceFixture, QuantizationEpsilonMergesNearbyDesigns) {
-  EvalServiceConfig config;
-  config.quant_epsilon = 1e-3;
-  EvalService service(counting, config);
-  const Vec a = {0.10000, 0.2, 0.3};
-  const Vec b = {0.10004, 0.2, 0.3};  // same 1e-3 bucket
-  const auto ra = service.evaluate(a);
-  const auto rb = service.evaluate(b);
-  EXPECT_EQ(counting.calls.load(), 1);
-  EXPECT_EQ(rb.metrics, ra.metrics) << "b served from a's bucket";
-  EXPECT_EQ(service.counters().hits, 1u);
+TEST_F(ServiceFixture, CacheKeysAreBitExact) {
+  EvalService service(counting);
+  const Vec a = {0.1, 0.2, 0.3};
+  const Vec b = {std::nextafter(0.1, 1.0), 0.2, 0.3};  // one ulp away
+  const Vec neg_zero = {-0.0, 0.2, 0.3};
+  const Vec pos_zero = {0.0, 0.2, 0.3};
+  EXPECT_EQ(service.evaluate(a).cache, ckt::CacheOutcome::Miss);
+  EXPECT_EQ(service.evaluate(b).cache, ckt::CacheOutcome::Miss);
+  EXPECT_EQ(service.evaluate(a).cache, ckt::CacheOutcome::Hit);
+  // -0.0 == +0.0, so the two zeros share one address.
+  EXPECT_EQ(service.evaluate(neg_zero).cache, ckt::CacheOutcome::Miss);
+  EXPECT_EQ(service.evaluate(pos_zero).cache, ckt::CacheOutcome::Hit);
+  EXPECT_EQ(counting.calls.load(), 3);
 }
 
 /// Counts make_session() calls so the pool's reuse can be asserted.

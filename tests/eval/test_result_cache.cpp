@@ -28,10 +28,9 @@ struct CacheDir : ::testing::Test {
   }
   void TearDown() override { fs::remove_all(dir); }
 
-  ResultCache::Config config(double epsilon = 0.0) const {
+  ResultCache::Config config() const {
     ResultCache::Config c;
     c.journal_path = journal;
-    c.quant_epsilon = epsilon;
     return c;
   }
 
@@ -39,10 +38,10 @@ struct CacheDir : ::testing::Test {
   std::string journal;
 };
 
-CacheKey key_of(std::uint64_t fp, const Vec& x) { return make_cache_key(fp, x, 0.0); }
+CacheKey key_of(std::uint64_t fp, const Vec& x) { return make_cache_key(fp, x); }
 
 TEST(ResultCacheMemory, InsertLookupAndMiss) {
-  ResultCache cache({.memory_capacity = 8, .journal_path = {}, .quant_epsilon = 0.0});
+  ResultCache cache({.memory_capacity = 8, .journal_path = {}});
   const Vec x = {1.0, 2.0};
   const Vec metrics = {3.0, 4.0, 5.0};
   EXPECT_FALSE(cache.lookup(key_of(7, x)).has_value());
@@ -54,7 +53,7 @@ TEST(ResultCacheMemory, InsertLookupAndMiss) {
 }
 
 TEST(ResultCacheMemory, FirstWriterWins) {
-  ResultCache cache({.memory_capacity = 8, .journal_path = {}, .quant_epsilon = 0.0});
+  ResultCache cache({.memory_capacity = 8, .journal_path = {}});
   const Vec x = {1.0};
   cache.insert(key_of(1, x), 1, x, {10.0});
   cache.insert(key_of(1, x), 1, x, {99.0});
@@ -63,7 +62,7 @@ TEST(ResultCacheMemory, FirstWriterWins) {
 }
 
 TEST(ResultCacheMemory, LruEvictsLeastRecentlyUsed) {
-  ResultCache cache({.memory_capacity = 2, .journal_path = {}, .quant_epsilon = 0.0});
+  ResultCache cache({.memory_capacity = 2, .journal_path = {}});
   cache.insert(key_of(1, {1.0}), 1, {1.0}, {1.0});
   cache.insert(key_of(1, {2.0}), 1, {2.0}, {2.0});
   ASSERT_TRUE(cache.lookup(key_of(1, {1.0})).has_value());  // refresh {1}
@@ -74,7 +73,7 @@ TEST(ResultCacheMemory, LruEvictsLeastRecentlyUsed) {
 }
 
 TEST(ResultCacheMemory, EntriesForFiltersByFingerprint) {
-  ResultCache cache({.memory_capacity = 8, .journal_path = {}, .quant_epsilon = 0.0});
+  ResultCache cache({.memory_capacity = 8, .journal_path = {}});
   cache.insert(key_of(1, {1.0}), 1, {1.0}, {10.0});
   cache.insert(key_of(2, {2.0}), 2, {2.0}, {20.0});
   cache.insert(key_of(1, {3.0}), 1, {3.0}, {30.0});
@@ -118,15 +117,24 @@ TEST_F(CacheDir, L2HitPromotesAfterEviction) {
 
 TEST_F(CacheDir, EpsilonMismatchStartsEmpty) {
   {
-    ResultCache cache(config(0.0));
+    ResultCache cache(config());
     cache.insert(key_of(1, {1.0}), 1, {1.0}, {10.0});
   }
-  ResultCache mismatched(config(1e-6));
+  // A non-zero epsilon in the header (magic, u32 version, f64 epsilon) marks
+  // keys an older writer quantized: none of them addresses a bit-exact key.
+  {
+    std::fstream io(journal, std::ios::binary | std::ios::in | std::ios::out);
+    io.seekp(8 + 4);
+    const double epsilon = 1e-6;
+    io.write(reinterpret_cast<const char*>(&epsilon), sizeof(epsilon));
+  }
+  ResultCache mismatched(config());
   EXPECT_EQ(mismatched.size(), 0u);
-  // The stale journal was replaced: a matching reopen now sees the new header.
-  mismatched.insert(make_cache_key(1, Vec{2.0}, 1e-6), 1, {2.0}, {20.0});
-  ResultCache reopened(config(1e-6));
+  // The stale journal was replaced: a reopen now sees a zero-epsilon header.
+  mismatched.insert(key_of(1, {2.0}), 1, {2.0}, {20.0});
+  ResultCache reopened(config());
   EXPECT_EQ(reopened.size(), 1u);
+  EXPECT_EQ(reopened.lookup(key_of(1, {2.0})).value(), Vec{20.0});
 }
 
 TEST_F(CacheDir, CorruptHeaderStartsEmpty) {
@@ -190,10 +198,10 @@ TEST(ProblemFingerprint, DecoratorsShareTheInnerFingerprint) {
 
 TEST(CacheKeyTest, DistinctProblemsNeverShareKeys) {
   const Vec x = {1.0, 2.0};
-  const CacheKey a = make_cache_key(1, x, 0.0);
-  const CacheKey b = make_cache_key(2, x, 0.0);
+  const CacheKey a = make_cache_key(1, x);
+  const CacheKey b = make_cache_key(2, x);
   EXPECT_FALSE(a == b);
-  EXPECT_TRUE(a == make_cache_key(1, x, 0.0));
+  EXPECT_TRUE(a == make_cache_key(1, x));
 }
 
 TEST(CorruptionReplay, JournalRecoversFromEveryMutant) {

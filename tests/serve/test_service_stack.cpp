@@ -38,11 +38,6 @@ TEST(ServiceStack, LayersRejectEachBadKnobByName) {
   eval::EvalServiceConfig service;
   service.memory_capacity = 0;
   service_rejects(service, "memory_capacity");
-  service = {};
-  service.quant_epsilon = -1.0;
-  service_rejects(service, "quant_epsilon");
-  service.quant_epsilon = nan;
-  service_rejects(service, "quant_epsilon");
 
   // ResilientEvaluator.
   const auto resilient_rejects = [&](const ckt::ResilientConfig& config,

@@ -100,7 +100,7 @@ inline void write_reference_journal(const std::string& path) {
   Rng rng(12);
   for (std::uint64_t fp = 1; fp <= 3; ++fp) {
     const linalg::Vec x = problem.random_design(rng);
-    cache.insert(eval::make_cache_key(fp, x, 0.0), fp, x, problem.evaluate(x).metrics);
+    cache.insert(eval::make_cache_key(fp, x), fp, x, problem.evaluate(x).metrics);
   }
 }
 

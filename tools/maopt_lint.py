@@ -38,6 +38,13 @@ Enforces invariants that generic clang-tidy checks cannot express:
                        and batching is a SizingProblem virtual, so every
                        decorator composes; a downcast to a concrete layer
                        silently stops working once anything wraps it.
+  ambient-variation    no call to or override of set_process_variation
+                       outside src/circuits/sizing_problem.{hpp,cpp} (tests
+                       exempt: they pin that it throws). A problem holds no
+                       variation state; a variation reaches a simulation
+                       only as the pv argument of evaluate_at /
+                       make_session_at, so every layer of the evaluation
+                       stack (cache keys included) sees the same pv.
   observer-bracketing  RunStarted/RunFinished bracket events are emitted
                        only by the Optimizer template method
                        (src/core/optimizer.cpp) and always as a pair; phase
@@ -421,6 +428,27 @@ def check_downcast(sf: SourceFile) -> Iterator[Finding]:
             "dynamic_cast to a concrete evaluation layer stops working as soon as a "
             "decorator wraps it; read provenance from the EvalResult and override a "
             "SizingProblem virtual (evaluate_batch / evaluate_variants) instead",
+        )
+
+
+AMBIENT_VARIATION_RE = re.compile(r"\bset_process_variation\s*\(")
+AMBIENT_VARIATION_OWNERS = {"src/circuits/sizing_problem.hpp", "src/circuits/sizing_problem.cpp"}
+
+
+@register_check(
+    "ambient-variation",
+    "set_process_variation called or overridden outside circuits/sizing_problem — pass the "
+    "variation to evaluate_at / make_session_at",
+)
+def check_ambient_variation(sf: SourceFile) -> Iterator[Finding]:
+    if sf.in_dir("tests") or sf.path in AMBIENT_VARIATION_OWNERS:
+        return
+    for m in AMBIENT_VARIATION_RE.finditer(sf.masked):
+        yield from _emit(
+            sf, "ambient-variation", m.start(),
+            "set_process_variation always throws: problems hold no variation state, "
+            "so a set-then-evaluate pair simulates nothing the caller meant; pass the "
+            "variation as evaluate_at(x, pv) or make_session_at(pv)",
         )
 
 
