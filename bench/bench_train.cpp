@@ -14,6 +14,7 @@
 #include <chrono>
 #include <cstdio>
 
+#include "../tests/support/naive_linalg.hpp"
 #include "exp_common.hpp"
 #include "linalg/gemm.hpp"
 
@@ -65,19 +66,23 @@ int main(int argc, char** argv) {
     const std::size_t n = smoke ? 48 : 256;
     const int reps = smoke ? 2 : 20;
     Rng rng(1);
-    linalg::Mat a(n, n), b(n, n), c;
+    linalg::Mat a(n, n), b(n, n), c(n, n);
     for (auto& v : a.data()) v = rng.uniform(-1, 1);
     for (auto& v : b.data()) v = rng.uniform(-1, 1);
 
-    checksum_sink += linalg::matmul(a, b)(0, 0);  // warm
+    checksum_sink += linalg::testing::matmul(a, b)(0, 0);  // warm
     auto t0 = Clock::now();
-    for (int r = 0; r < reps; ++r) checksum_sink += linalg::matmul(a, b)(0, 0);
+    for (int r = 0; r < reps; ++r) checksum_sink += linalg::testing::matmul(a, b)(0, 0);
     const double naive_gf = gflops(n, reps, seconds_since(t0));
 
-    linalg::matmul_blocked(a, b, c);
+    const auto blocked = [&] {
+      c.fill(0.0);
+      linalg::gemm_nn(n, n, n, a.data().data(), b.data().data(), c.data().data());
+    };
+    blocked();
     t0 = Clock::now();
     for (int r = 0; r < reps; ++r) {
-      linalg::matmul_blocked(a, b, c);
+      blocked();
       checksum_sink += c(0, 0);
     }
     const double blocked_gf = gflops(n, reps, seconds_since(t0));

@@ -8,6 +8,25 @@
 
 namespace maopt::bench {
 
+std::string history_digest(const core::RunHistory& history) {
+  // The folds hash raw bytes, not hash_design: failed simulations carry NaN
+  // metrics, and those bits belong in the digest too.
+  std::uint64_t h[2] = {kHashSeed, 0x9AE16A3B2F90404FULL};
+  for (std::uint64_t& v : h) {
+    v = hash_u64(history.records.size(), v);
+    for (const core::SimRecord& r : history.records) {
+      for (const linalg::Vec* vec : {&r.x, &r.metrics}) {
+        v = hash_u64(vec->size(), v);
+        v = hash_bytes(vec->data(), vec->size() * sizeof(double), v);
+      }
+    }
+  }
+  char hex[33];
+  std::snprintf(hex, sizeof hex, "%016llx%016llx", static_cast<unsigned long long>(h[0]),
+                static_cast<unsigned long long>(h[1]));
+  return hex;
+}
+
 std::vector<std::unique_ptr<core::Optimizer>> paper_roster() {
   std::vector<std::unique_ptr<core::Optimizer>> roster;
   roster.push_back(std::make_unique<gp::BoOptimizer>());
@@ -60,6 +79,11 @@ std::vector<AlgoSummary> run_comparison(const ckt::SizingProblem& problem,
                  << roster[a]->name();
       options.seed = seed;
       const core::RunHistory h = roster[a]->run(problem, initial, fom, options);
+      if (config.digest) {
+        std::printf("digest\t%s\t%s\t%zu\t%s\n", problem.spec().name.c_str(),
+                    roster[a]->name().c_str(), run, history_digest(h).c_str());
+        std::fflush(stdout);
+      }
       auto& s = summaries[a];
       const core::SimRecord* bf = h.best_feasible();
       if (bf != nullptr) {

@@ -24,6 +24,7 @@ struct ExperimentConfig {
   std::uint64_t seed0 = 0;
   std::string csv_path;    ///< optional: per-simulation trajectories
   std::string jsonl_path;  ///< optional: telemetry event stream of every run
+  bool digest = false;     ///< print one history_digest line per (algorithm, run)
 
   static ExperimentConfig from_cli(const CliArgs& args) {
     ExperimentConfig c;
@@ -39,6 +40,7 @@ struct ExperimentConfig {
     c.seed0 = static_cast<std::uint64_t>(args.get_int("seed", 0));
     c.csv_path = args.get("csv", "");
     c.jsonl_path = args.get("jsonl", "");
+    c.digest = args.get_bool("digest");
     return c;
   }
 };
@@ -66,10 +68,19 @@ struct AlgoSummary {
   std::vector<double> avg_trajectory;
 };
 
+/// 128-bit trajectory digest of one run as 32 hex digits: two
+/// independently seeded common/hash folds over the bit patterns of every
+/// record's design and metrics, in simulation order. Equal digests mean
+/// bit-identical trajectories.
+std::string history_digest(const core::RunHistory& history);
+
 /// The paper's algorithm roster (Tables II/IV/VI).
 std::vector<std::unique_ptr<core::Optimizer>> paper_roster();
 
 /// Runs every optimizer in `roster` under the shared-initial-set protocol.
+/// With config.digest it prints one tab-separated line per run to stdout:
+/// "digest", circuit, algorithm, run, history_digest (tools/roster_digest.py
+/// reads these).
 std::vector<AlgoSummary> run_comparison(const ckt::SizingProblem& problem,
                                         std::vector<std::unique_ptr<core::Optimizer>> roster,
                                         const ExperimentConfig& config);

@@ -4,6 +4,7 @@
 // kernels (gemm_nn/tn/nt).
 #include <benchmark/benchmark.h>
 
+#include "../tests/support/naive_linalg.hpp"
 #include "common/rng.hpp"
 #include "linalg/cholesky.hpp"
 #include "linalg/gemm.hpp"
@@ -13,6 +14,7 @@ namespace {
 
 using namespace maopt;
 using namespace maopt::linalg;
+using maopt::linalg::testing::matmul;
 
 Mat random_dd_matrix(std::size_t n, std::uint64_t seed) {
   Rng rng(seed);
@@ -33,8 +35,13 @@ void BM_LuFactorSolve(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
   const Mat a = random_dd_matrix(n, 1);
   Vec b(n, 1.0);
+  LuWorkReal ws;
+  Vec x;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(lu_solve(a, b));
+    ws.matrix() = a;
+    benchmark::DoNotOptimize(lu_factor(ws));
+    lu_solve_factored(ws, b, x);
+    benchmark::DoNotOptimize(x.data());
   }
   state.SetComplexityN(state.range(0));
 }
@@ -47,7 +54,14 @@ void BM_ComplexLuSolve(benchmark::State& state) {
   for (auto& v : a.data()) v = {rng.uniform(-1, 1), rng.uniform(-1, 1)};
   for (std::size_t i = 0; i < n; ++i) a(i, i) += static_cast<double>(n);
   CVec b(n, {1.0, 0.0});
-  for (auto _ : state) benchmark::DoNotOptimize(lu_solve(a, b));
+  LuWorkComplex ws;
+  CVec x;
+  for (auto _ : state) {
+    ws.matrix() = a;
+    benchmark::DoNotOptimize(lu_factor(ws));
+    lu_solve_factored(ws, b, x);
+    benchmark::DoNotOptimize(x.data());
+  }
 }
 BENCHMARK(BM_ComplexLuSolve)->Arg(16)->Arg(32);
 
@@ -74,9 +88,10 @@ void BM_MatmulBlocked(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
   const Mat a = random_dd_matrix(n, 4);
   const Mat b = random_dd_matrix(n, 5);
-  Mat c;
+  Mat c(n, n);
   for (auto _ : state) {
-    matmul_blocked(a, b, c);
+    c.fill(0.0);
+    gemm_nn(n, n, n, a.data().data(), b.data().data(), c.data().data());
     benchmark::DoNotOptimize(c.data().data());
   }
   state.counters["GFLOP/s"] = benchmark::Counter(

@@ -3,6 +3,7 @@
 // of cost that dominates MA-Opt's "runtime" rows.
 #include <benchmark/benchmark.h>
 
+#include "../tests/support/mlp_reference.hpp"
 #include "circuits/analytic_problems.hpp"
 #include "core/critic.hpp"
 #include "nn/adam.hpp"
@@ -28,8 +29,8 @@ void BM_PaperCriticTrainStep(benchmark::State& state) {
   Mat x(64, 32, 0.1), y(64, 9, 0.2), grad;
   for (auto _ : state) {
     const Mat pred = net.forward(x);
-    benchmark::DoNotOptimize(mse_loss(pred, y, &grad));
-    net.backward(grad);
+    benchmark::DoNotOptimize(testing::mse_loss(pred, y, &grad));
+    net.backward_params(grad);
     opt.step();
   }
 }

@@ -12,8 +12,8 @@
 //
 // Run mode (one deck, optimized through the daemon):
 //
-//   ./examples/maopt_run_deck decks/five_transistor_ota.cir \
-//       [--spec PATH] [--algo MA-Opt] [--sims N] [--init N] [--seed N] \
+//   ./examples/maopt_run_deck decks/five_transistor_ota.cir
+//       [--spec PATH] [--algo MA-Opt] [--sims N] [--init N] [--seed N]
 //       [--threads N] [--work-dir DIR] [--jsonl PATH] [--run-jsonl PATH]
 //
 // The deck goes through serve::OptDaemon's deck submission path (the same

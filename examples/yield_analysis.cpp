@@ -69,7 +69,7 @@ int main(int argc, char** argv) {
   const std::string jsonl = args.get("jsonl", "");
   const auto seed = static_cast<std::uint64_t>(args.get_int("seed", 0));
 
-  ckt::SweepFailurePolicy failure_policy;
+  ckt::SweepFailurePolicy failure_policy = ckt::SweepFailurePolicy::PenalizeFailedVariant;
   if (!parse_policy(args.get("policy", "penalize-failed"), &failure_policy)) {
     std::fprintf(stderr, "unknown --policy (use fail-fast | penalize-failed | "
                          "conservative-bound)\n");

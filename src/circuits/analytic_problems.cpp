@@ -38,38 +38,4 @@ EvalResult ConstrainedQuadratic::evaluate(const Vec& x) const {
   return r;
 }
 
-ConstrainedRosenbrock::ConstrainedRosenbrock(std::size_t dim, double radius2_margin) {
-  radius2_ = static_cast<double>(dim) + radius2_margin;
-  spec_.name = "constrained_rosenbrock";
-  spec_.target_name = "rosenbrock";
-  spec_.target_unit = "";
-  spec_.target_weight = 1.0;
-  spec_.constraints = {
-      {"norm2", "", ConstraintKind::LessEqual, radius2_, 1.0},
-  };
-  lower_.assign(dim, -2.0);
-  upper_.assign(dim, 2.0);
-  integer_.assign(dim, false);
-  integer_.back() = true;
-}
-
-std::vector<std::string> ConstrainedRosenbrock::parameter_names() const {
-  std::vector<std::string> names;
-  for (std::size_t i = 0; i < dim(); ++i) names.push_back("x" + std::to_string(i));
-  return names;
-}
-
-EvalResult ConstrainedRosenbrock::evaluate(const Vec& x) const {
-  EvalResult r;
-  double f0 = 0.0, norm2 = 0.0;
-  for (std::size_t i = 0; i + 1 < x.size(); ++i) {
-    const double a = x[i + 1] - x[i] * x[i];
-    const double b = 1.0 - x[i];
-    f0 += 100.0 * a * a + b * b;
-  }
-  for (const double xi : x) norm2 += xi * xi;
-  r.metrics = {f0, norm2};
-  return r;
-}
-
 }  // namespace maopt::ckt

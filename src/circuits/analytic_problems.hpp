@@ -1,6 +1,7 @@
-// Closed-form SizingProblems used by unit tests, quick examples, and the
-// optimizer-behaviour benches: they exercise the full optimizer stack in
-// milliseconds with known optima, independent of the circuit simulator.
+// A closed-form SizingProblem used by unit tests, quick examples, the
+// daemon's "quad" problem and the optimizer-behaviour benches: it exercises
+// the full optimizer stack in milliseconds with a known optimum, independent
+// of the circuit simulator.
 #pragma once
 
 #include "circuits/sizing_problem.hpp"
@@ -31,29 +32,6 @@ class ConstrainedQuadratic final : public SizingProblem {
   double target_;
   double mean_min_;
   double x0_max_;
-};
-
-/// Nonconvex benchmark: f0 = Rosenbrock(x) on [-2, 2]^d, subject to
-/// ||x||^2 <= radius^2 (the optimum x = 1 sits near the boundary for
-/// radius^2 slightly above d). The last parameter is integer-constrained to
-/// exercise the mixed-integer path.
-class ConstrainedRosenbrock final : public SizingProblem {
- public:
-  explicit ConstrainedRosenbrock(std::size_t dim, double radius2_margin = 1.5);
-
-  const ProblemSpec& spec() const override { return spec_; }
-  std::size_t dim() const override { return lower_.size(); }
-  const Vec& lower_bounds() const override { return lower_; }
-  const Vec& upper_bounds() const override { return upper_; }
-  const std::vector<bool>& integer_mask() const override { return integer_; }
-  std::vector<std::string> parameter_names() const override;
-  EvalResult evaluate(const Vec& x) const override;
-
- private:
-  ProblemSpec spec_;
-  Vec lower_, upper_;
-  std::vector<bool> integer_;
-  double radius2_;
 };
 
 }  // namespace maopt::ckt

@@ -2,6 +2,8 @@
 
 #include <cmath>
 
+#include "common/hash.hpp"
+
 namespace maopt::ckt {
 
 spice::MosModel vary_model(const spice::MosModel& nominal, Rng& rng, const ProcessVariation& pv) {
@@ -60,6 +62,16 @@ ProcessVariation corner_variation(ProcessCorner corner, double vth_step, double 
     case ProcessCorner::SF: slow_n(); fast_p(); break;
   }
   return pv;
+}
+
+std::uint64_t variation_fingerprint(const ProcessVariation& pv) {
+  if (!pv.enabled()) return 0;
+  // Cache keys, and so every on-disk journal, fold this value in: the seed
+  // and field order are fixed.
+  constexpr std::uint64_t kSeed = 0x9AE16A3B2F90404FULL;
+  const double fields[6] = {pv.sigma_vth,      pv.sigma_kp_rel,  pv.nmos_vth_shift,
+                            pv.pmos_vth_shift, pv.nmos_kp_factor, pv.pmos_kp_factor};
+  return hash_design(fields, hash_u64(pv.seed, kSeed));
 }
 
 }  // namespace maopt::ckt

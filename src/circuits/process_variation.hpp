@@ -30,4 +30,12 @@ const char* corner_name(ProcessCorner corner);
 ProcessVariation corner_variation(ProcessCorner corner, double vth_step = 0.03,
                                   double kp_step_rel = 0.10);
 
+/// Stable identity hash of a process-variation setting (common/hash): the
+/// result cache folds it into the problem fingerprint so corner and Monte
+/// Carlo results are addressed apart from nominal ones and from each other,
+/// and fault injection folds it into its per-design draw. Returns 0 for a
+/// disabled (all-default) variation — callers skip the fold so nominal keys,
+/// and with them every pre-existing journal, stay byte-identical.
+std::uint64_t variation_fingerprint(const ProcessVariation& pv);
+
 }  // namespace maopt::ckt

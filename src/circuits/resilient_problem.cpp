@@ -4,32 +4,20 @@
 #include <chrono>
 #include <cmath>
 #include <cstdio>
-#include <cstring>
 #include <limits>
 #include <stdexcept>
 #include <thread>
 #include <utility>
 
+#include "circuits/process_variation.hpp"
 #include "common/check.hpp"
+#include "common/hash.hpp"
 #include "common/rng.hpp"
 #include "common/thread_annotations.hpp"
 
 namespace maopt::ckt {
 
 namespace {
-
-/// Deterministic 64-bit hash of a design vector's bit pattern: fault and
-/// jitter decisions depend on (seed, x), never on call order, so they
-/// survive threading and checkpoint/resume replay.
-std::uint64_t hash_design(const Vec& x) {
-  std::uint64_t h = 0x9E3779B97F4A7C15ULL;
-  for (const double v : x) {
-    std::uint64_t bits = 0;
-    std::memcpy(&bits, &v, sizeof(bits));
-    h ^= bits + 0x9E3779B97F4A7C15ULL + (h << 6U) + (h >> 2U);
-  }
-  return h;
-}
 
 bool all_plausible(const Vec& v, double max_magnitude) {
   for (const double m : v)
@@ -185,6 +173,8 @@ EvalResult ResilientEvaluator::evaluate_with(const Vec& x, EvalSession* session,
       ++retries;
       // Deterministic jittered restart: a tiny perturbation often steps a
       // solver off a singular Jacobian, like re-seeding the operating point.
+      // The draw depends on (seed, x), never on call order, so it survives
+      // threading and checkpoint/resume replay.
       Rng jitter(derive_seed(config_.seed,
                              hash_design(x) ^ static_cast<std::uint64_t>(attempt)));
       attempt_x = x;
@@ -282,20 +272,7 @@ EvalResult FaultInjectingProblem::evaluate_at(const Vec& x, const ProcessVariati
   // nominal fault decision for a design stays bit-identical to evaluate()
   // regardless of which entry point the caller used.
   std::uint64_t h = hash_design(x);
-  if (pv.enabled()) {
-    auto mix = [&h](double v) {
-      std::uint64_t bits = 0;
-      std::memcpy(&bits, &v, sizeof(bits));
-      h ^= bits + 0x9E3779B97F4A7C15ULL + (h << 6U) + (h >> 2U);
-    };
-    mix(pv.sigma_vth);
-    mix(pv.sigma_kp_rel);
-    mix(static_cast<double>(pv.seed));
-    mix(pv.nmos_vth_shift);
-    mix(pv.pmos_vth_shift);
-    mix(pv.nmos_kp_factor);
-    mix(pv.pmos_kp_factor);
-  }
+  if (pv.enabled()) h = hash_u64(variation_fingerprint(pv), h);
   Rng rng(derive_seed(config_.seed, h));
   double u = rng.uniform();
 

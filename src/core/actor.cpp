@@ -91,13 +91,6 @@ MAOPT_HOT double Actor::train_round(Surrogate& critic, const FomEvaluator& fom,
   return total_loss / std::max(1, config_.steps_per_round);
 }
 
-Vec Actor::propose_unit(const Vec& x_unit) {
-  nn::Mat in(1, dim_);
-  for (std::size_t c = 0; c < dim_; ++c) in(0, c) = x_unit[c];
-  const nn::Mat out = mlp_.forward(in);
-  return Vec(out.row(0).begin(), out.row(0).end());
-}
-
 Vec Actor::select_candidate_unit(Surrogate& critic, const FomEvaluator& fom,
                                  const std::vector<EliteSet::Entry>& elites,
                                  const nn::RangeScaler& scaler) {

@@ -33,9 +33,6 @@ class Actor {
   double train_round(Surrogate& critic, const FomEvaluator& fom, const nn::Mat& population_unit,
                      const Vec& elite_lb_unit, const Vec& elite_ub_unit, Rng& rng);
 
-  /// Action mu(x) for a single unit-space state.
-  Vec propose_unit(const Vec& x_unit);
-
   /// Algorithm 1 line 8: over the elite entries, pick the state whose
   /// proposed move has the lowest critic-predicted FoM; returns the proposed
   /// design in unit space (x* + mu(x*), unclipped).

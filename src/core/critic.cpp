@@ -230,16 +230,6 @@ MAOPT_HOT void Critic::predict_into(const nn::Mat& x_dx, nn::Mat& raw) {
   norm_.inverse_into(mlp_.forward(x_dx), raw);
 }
 
-Vec Critic::predict_one(const Vec& x_unit, const Vec& dx_unit) {
-  nn::Mat in(1, 2 * dim_);
-  for (std::size_t i = 0; i < dim_; ++i) {
-    in(0, i) = x_unit[i];
-    in(0, dim_ + i) = dx_unit[i];
-  }
-  const nn::Mat out = predict(in);
-  return Vec(out.row(0).begin(), out.row(0).end());
-}
-
 MAOPT_HOT void Critic::action_gradient_into(const nn::Mat& d_loss_d_raw_metrics,
                                            nn::Mat& d_action) {
   MAOPT_CHECK(d_loss_d_raw_metrics.cols() == num_metrics_,

@@ -70,8 +70,6 @@ class Critic final : public Surrogate {
   double train_round(const PseudoSampleBatcher& batcher, Rng& rng, ThreadPool* pool = nullptr);
 
   void predict_into(const nn::Mat& x_dx, nn::Mat& raw) override;
-  /// Single-sample convenience.
-  Vec predict_one(const Vec& x_unit, const Vec& dx_unit);
 
   void action_gradient_into(const nn::Mat& d_loss_d_raw_metrics, nn::Mat& d_action) override;
 

@@ -73,12 +73,6 @@ struct RunHistory {
 /// 100 random designs simulated once and shared across all methods).
 std::vector<SimRecord> sample_initial_set(const SizingProblem& problem, std::size_t n, Rng& rng);
 
-/// Latin-hypercube variant: per dimension, one sample in each of n equal
-/// strata (randomly permuted) — better space coverage than i.i.d. uniform
-/// at the same budget. Integer parameters are rounded afterwards.
-std::vector<SimRecord> sample_initial_set_lhs(const SizingProblem& problem, std::size_t n,
-                                              Rng& rng);
-
 /// The record of design `x` evaluated to `eval`: metrics, status and every
 /// provenance field (fom / feasible are left for annotate_record).
 SimRecord to_record(Vec x, ckt::EvalResult eval);

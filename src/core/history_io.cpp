@@ -12,12 +12,6 @@
 namespace maopt::core {
 
 namespace {
-std::ofstream open_or_throw(const std::string& path) {
-  std::ofstream out(path);
-  if (!out) throw std::runtime_error("cannot open '" + path + "' for writing");
-  return out;
-}
-
 // --- checkpoint binary primitives -----------------------------------------
 // Fixed-width little-endian-as-stored POD fields; strings and vectors are
 // u64 length + payload. Every read is checked so truncated or corrupted
@@ -75,41 +69,6 @@ linalg::Vec get_vec(std::istream& in, std::uint64_t end) {
   return v;
 }
 }  // namespace
-
-void write_records_csv(std::ostream& out, const RunHistory& history,
-                       const SizingProblem& problem) {
-  out << "index,phase";
-  for (const auto& name : problem.parameter_names()) out << "," << name;
-  out << "," << problem.spec().target_name;
-  for (const auto& c : problem.spec().constraints) out << "," << c.name;
-  out << ",fom,feasible,simulation_ok\n";
-
-  for (std::size_t i = 0; i < history.records.size(); ++i) {
-    const auto& r = history.records[i];
-    out << i << "," << (i < history.num_initial ? "initial" : "search");
-    for (const double v : r.x) out << "," << v;
-    for (const double m : r.metrics) out << "," << m;
-    out << "," << r.fom << "," << (r.feasible ? 1 : 0) << "," << (r.simulation_ok ? 1 : 0)
-        << "\n";
-  }
-}
-
-void write_records_csv(const std::string& path, const RunHistory& history,
-                       const SizingProblem& problem) {
-  auto out = open_or_throw(path);
-  write_records_csv(out, history, problem);
-}
-
-void write_trajectory_csv(std::ostream& out, const RunHistory& history) {
-  out << "simulation,best_fom\n";
-  for (std::size_t i = 0; i < history.best_fom_after.size(); ++i)
-    out << (i + 1) << "," << history.best_fom_after[i] << "\n";
-}
-
-void write_trajectory_csv(const std::string& path, const RunHistory& history) {
-  auto out = open_or_throw(path);
-  write_trajectory_csv(out, history);
-}
 
 namespace {
 /// Serializes checkpoint writes process-wide. The tmp name is derived from

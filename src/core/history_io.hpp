@@ -1,27 +1,14 @@
-// Run persistence: CSV export of per-simulation records and best-FoM
-// trajectories (offline analysis, Fig. 5-style plots), plus versioned binary
-// checkpoints that let a killed run resume mid-budget instead of losing
-// hundreds of simulations (see MaOptimizer::resume).
+// Run persistence: versioned binary checkpoints that let a killed run resume
+// mid-budget instead of losing hundreds of simulations (see
+// MaOptimizer::resume).
 #pragma once
 
 #include <cstdint>
-#include <iosfwd>
 #include <string>
 
 #include "core/history.hpp"
 
 namespace maopt::core {
-
-/// One row per record: index, phase (initial/search), every design
-/// parameter (named), every metric (named), fom, feasible, simulation_ok.
-void write_records_csv(std::ostream& out, const RunHistory& history,
-                       const SizingProblem& problem);
-void write_records_csv(const std::string& path, const RunHistory& history,
-                       const SizingProblem& problem);
-
-/// One row per post-initial simulation: index, best-FoM-so-far.
-void write_trajectory_csv(std::ostream& out, const RunHistory& history);
-void write_trajectory_csv(const std::string& path, const RunHistory& history);
 
 /// Current on-disk checkpoint format version. v2 appends the sweep
 /// provenance fields (degraded / variants_failed / variants_total) to each

@@ -5,6 +5,7 @@
 #include <thread>
 #include <utility>
 
+#include "circuits/process_variation.hpp"
 #include "common/log.hpp"
 #include "common/thread_pool.hpp"
 
@@ -189,7 +190,7 @@ ckt::EvalResult EvalService::evaluate_impl(const Vec& x, const ckt::ProcessVaria
   // into the problem fingerprint, so every corner / MC instance of a design
   // caches (and dedups) independently; nominal keys are unchanged.
   const std::uint64_t fp =
-      pv.enabled() ? problem_fp_ ^ variation_fingerprint(pv) : problem_fp_;
+      pv.enabled() ? problem_fp_ ^ ckt::variation_fingerprint(pv) : problem_fp_;
   const CacheKey key = make_cache_key(fp, x);
 
   // Fast path: already cached (in this request's tenant namespace).

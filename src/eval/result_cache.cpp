@@ -87,13 +87,6 @@ std::uint64_t problem_fingerprint(const ckt::SizingProblem& problem) {
   return h;
 }
 
-std::uint64_t variation_fingerprint(const ckt::ProcessVariation& pv) {
-  if (!pv.enabled()) return 0;
-  const double fields[6] = {pv.sigma_vth,      pv.sigma_kp_rel,  pv.nmos_vth_shift,
-                            pv.pmos_vth_shift, pv.nmos_kp_factor, pv.pmos_kp_factor};
-  return hash_design(fields, hash_u64(pv.seed, kKeySeedLo));
-}
-
 CacheKey make_cache_key(std::uint64_t problem_fp, std::span<const double> x) {
   CacheKey key;
   key.hi = hash_design(x, hash_u64(problem_fp, kKeySeedHi));
@@ -282,13 +275,6 @@ std::vector<CachedEval> ResultCache::entries_for(std::uint64_t problem_fp) const
     }
   }
   return out;
-}
-
-void ResultCache::compact() {
-  const MutexLock lock(mutex_);
-  writer_.close();
-  compact_locked();
-  writer_.open(config_.journal_path, std::ios::binary | std::ios::app);
 }
 
 void ResultCache::compact_locked() {

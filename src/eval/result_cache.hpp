@@ -66,14 +66,6 @@ std::uint64_t problem_fingerprint(const ckt::SizingProblem& problem);
 /// `problem_fp` (two independently-seeded hash_design folds).
 CacheKey make_cache_key(std::uint64_t problem_fp, std::span<const double> x);
 
-/// Stable identity hash of a process-variation setting, folded into the
-/// problem fingerprint for per-variant cache keys: corner and Monte Carlo
-/// results are addressed separately from nominal ones (and from each other),
-/// so a sweep never aliases a nominal cache entry. Returns 0 for a disabled
-/// (all-default) variation — callers skip the fold so nominal keys, and with
-/// them every pre-existing journal, stay byte-identical.
-std::uint64_t variation_fingerprint(const ckt::ProcessVariation& pv);
-
 /// One cached evaluation: the exact design simulated and its metric vector. `problem_fp` routes warm starts to the
 /// right problem when one journal holds several.
 struct CachedEval {
@@ -115,9 +107,6 @@ class ResultCache {
   /// order (journal order first, then this process's inserts). Entries
   /// evicted from a memory-only cache are gone and skipped.
   std::vector<CachedEval> entries_for(std::uint64_t problem_fp) const;
-
-  /// Rewrites the journal with exactly the current entries (tmp + rename).
-  void compact();
 
   std::size_t size() const;
   const Config& config() const { return config_; }

@@ -172,18 +172,4 @@ MAOPT_HOT void gemm_tn(std::size_t m, std::size_t n, std::size_t k, const double
   }
 }
 
-void matmul_blocked(const Mat& a, const Mat& b, Mat& c) {
-  MAOPT_CHECK(a.cols() == b.rows(), "matmul_blocked: dimension mismatch");
-  MAOPT_CHECK(&c != &a && &c != &b, "matmul_blocked: c must not alias an operand");
-  c.ensure_shape(a.rows(), b.cols());
-  c.fill(0.0);
-  gemm_nn(a.rows(), b.cols(), a.cols(), a.data().data(), b.data().data(), c.data().data());
-}
-
-Mat matmul_blocked(const Mat& a, const Mat& b) {
-  Mat c;
-  matmul_blocked(a, b, c);
-  return c;
-}
-
 }  // namespace maopt::linalg

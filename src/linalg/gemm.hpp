@@ -1,12 +1,13 @@
 // Cache-blocked dense GEMM kernels for the neural-network training hot path.
 //
-// The naive matmul in matrix.cpp streams all of B through cache for every
-// row of A; at the sizes the critic/actor MLPs use (batch x 100 x 100 and
-// larger near-sampling batches) that is memory-bound. The kernels here tile
-// the i-k-j loop nest so a panel of B rows stays resident while four A
-// scalars at a time are broadcast against it, and every kernel *accumulates*
-// into a caller-owned C so the surrounding code can reuse buffers instead of
-// constructing fresh matrices per call.
+// A naive matmul (the tests' oracle, tests/support/naive_linalg.hpp) streams
+// all of B through cache for every row of A; at the sizes the critic/actor
+// MLPs use (batch x 100 x 100 and larger near-sampling batches) that is
+// memory-bound. The kernels here tile the i-k-j loop nest so a panel of B
+// rows stays resident while four A scalars at a time are broadcast against
+// it, and every kernel *accumulates* into a caller-owned C so the
+// surrounding code can reuse buffers instead of constructing fresh matrices
+// per call.
 //
 // Three transpose variants cover the whole backprop triangle:
 //   gemm_nn: C += A B        (forward:  Y += X W)
@@ -47,9 +48,5 @@ void gemm_nt(std::size_t m, std::size_t n, std::size_t k, const double* a, const
 /// caller pack once and run many row blocks of A against the transpose.
 void gemm_nt_packed(std::size_t m, std::size_t n, std::size_t k, const double* a,
                     const double* bt, double* c);
-
-/// c = a * b via the blocked serial kernel; c is reshaped (capacity reused).
-void matmul_blocked(const Mat& a, const Mat& b, Mat& c);
-Mat matmul_blocked(const Mat& a, const Mat& b);
 
 }  // namespace maopt::linalg

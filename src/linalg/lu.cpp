@@ -257,33 +257,6 @@ T LuWorkspace<T>::determinant() const {
   return det;
 }
 
-template <typename T>
-LuDecomposition<T>::LuDecomposition(Matrix<T> a) {
-  ws_.matrix() = std::move(a);
-  if (!lu_factor(ws_)) throw std::runtime_error("LU: matrix is singular");
-}
-
-template <typename T>
-std::vector<T> LuDecomposition<T>::solve(const std::vector<T>& b) const {
-  if (b.size() != size()) throw std::invalid_argument("LU solve: dimension mismatch");
-  std::vector<T> x;
-  lu_solve_factored(ws_, b, x);
-  return x;
-}
-
-template <typename T>
-std::vector<T> LuDecomposition<T>::solve_transposed(const std::vector<T>& b) const {
-  if (b.size() != size()) throw std::invalid_argument("LU solve_transposed: dimension mismatch");
-  std::vector<T> x;
-  lu_solve_factored_transposed(ws_, b, x);
-  return x;
-}
-
-template <typename T>
-std::vector<T> lu_solve(Matrix<T> a, const std::vector<T>& b) {
-  return LuDecomposition<T>(std::move(a)).solve(b);
-}
-
 template class LuWorkspace<double>;
 template class LuWorkspace<std::complex<double>>;
 template bool lu_factor(LuWorkspace<double>&);
@@ -298,10 +271,5 @@ template void lu_solve_factored_transposed(const LuWorkspace<double>&, const std
 template void lu_solve_factored_transposed(const LuWorkspace<std::complex<double>>&,
                                            const std::vector<std::complex<double>>&,
                                            std::vector<std::complex<double>>&);
-template class LuDecomposition<double>;
-template class LuDecomposition<std::complex<double>>;
-template std::vector<double> lu_solve(Matrix<double>, const std::vector<double>&);
-template std::vector<std::complex<double>> lu_solve(Matrix<std::complex<double>>,
-                                                    const std::vector<std::complex<double>>&);
 
 }  // namespace maopt::linalg

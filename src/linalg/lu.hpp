@@ -1,22 +1,14 @@
 // LU decomposition with partial pivoting, real and complex. This is the
 // workhorse behind every MNA solve in the circuit simulator.
 //
-// Two layers:
-//
-//   * LuWorkspace + lu_factor / lu_solve_factored — the hot path. The caller
-//     owns the workspace, assembles the system directly into ws.matrix(),
-//     factors IN PLACE (no copy), and back-substitutes as many times as it
-//     likes. Repeated solves of same-dimension systems reuse every buffer,
-//     so a Newton loop, an AC frequency sweep, or a transient run performs
-//     zero steady-state allocations. Singularity is reported by return value
-//     (no exception on the hot path — the DC continuation ladder treats a
-//     singular Jacobian as an ordinary escalation signal).
-//
-//   * LuDecomposition / lu_solve — the legacy one-shot convenience API,
-//     now implemented on top of the workspace kernels. Factoring copies the
-//     input and throws on singularity; kept for cold paths (GP baseline,
-//     tests, reports) and as the golden reference the hot path is tested
-//     against.
+// The caller owns an LuWorkspace, assembles the system directly into
+// ws.matrix(), factors IN PLACE (lu_factor, no copy), and back-substitutes
+// (lu_solve_factored) as many times as it likes. Repeated solves of
+// same-dimension systems reuse every buffer, so a Newton loop, an AC
+// frequency sweep, or a transient run performs zero steady-state
+// allocations. Singularity is reported by return value (no exception — the
+// DC continuation ladder treats a singular Jacobian as an ordinary
+// escalation signal).
 #pragma once
 
 #include <complex>
@@ -92,36 +84,6 @@ class LuWorkspace {
 using LuWorkReal = LuWorkspace<double>;
 using LuWorkComplex = LuWorkspace<std::complex<double>>;
 
-/// Factored form of a square matrix; solve() may be called repeatedly.
-/// One-shot convenience layer over LuWorkspace (copies, allocates, throws).
-template <typename T>
-class LuDecomposition {
- public:
-  /// Factors `a` (moved/copied in). Throws std::runtime_error if singular.
-  explicit LuDecomposition(Matrix<T> a);
-
-  std::size_t size() const { return ws_.size(); }
-
-  /// Solves A x = b.
-  std::vector<T> solve(const std::vector<T>& b) const;
-
-  /// Solves A^T x = b (plain transpose; complex conjugate NOT applied).
-  std::vector<T> solve_transposed(const std::vector<T>& b) const;
-
-  /// |det A| can over/underflow for big systems; sign + log-magnitude form.
-  T determinant() const { return ws_.determinant(); }
-
- private:
-  LuWorkspace<T> ws_;
-};
-
-/// One-shot convenience: solve A x = b.
-template <typename T>
-std::vector<T> lu_solve(Matrix<T> a, const std::vector<T>& b);
-
-using LuReal = LuDecomposition<double>;
-using LuComplex = LuDecomposition<std::complex<double>>;
-
 extern template class LuWorkspace<double>;
 extern template class LuWorkspace<std::complex<double>>;
 extern template bool lu_factor(LuWorkspace<double>&);
@@ -137,10 +99,5 @@ extern template void lu_solve_factored_transposed(const LuWorkspace<double>&,
 extern template void lu_solve_factored_transposed(const LuWorkspace<std::complex<double>>&,
                                                   const std::vector<std::complex<double>>&,
                                                   std::vector<std::complex<double>>&);
-extern template class LuDecomposition<double>;
-extern template class LuDecomposition<std::complex<double>>;
-extern template std::vector<double> lu_solve(Matrix<double>, const std::vector<double>&);
-extern template std::vector<std::complex<double>> lu_solve(Matrix<std::complex<double>>,
-                                                           const std::vector<std::complex<double>>&);
 
 }  // namespace maopt::linalg

@@ -5,47 +5,6 @@
 
 namespace maopt::linalg {
 
-template <typename T>
-Matrix<T> matmul(const Matrix<T>& a, const Matrix<T>& b) {
-  if (a.cols() != b.rows()) throw std::invalid_argument("matmul: dimension mismatch");
-  Matrix<T> c(a.rows(), b.cols());
-  // i-k-j loop order keeps the inner loop contiguous in both B and C.
-  for (std::size_t i = 0; i < a.rows(); ++i) {
-    for (std::size_t k = 0; k < a.cols(); ++k) {
-      const T aik = a(i, k);
-      const auto brow = b.row(k);
-      auto crow = c.row(i);
-      for (std::size_t j = 0; j < b.cols(); ++j) crow[j] += aik * brow[j];
-    }
-  }
-  return c;
-}
-
-template <typename T>
-std::vector<T> matvec(const Matrix<T>& a, const std::vector<T>& x) {
-  if (a.cols() != x.size()) throw std::invalid_argument("matvec: dimension mismatch");
-  std::vector<T> y(a.rows(), T{});
-  for (std::size_t i = 0; i < a.rows(); ++i) {
-    const auto row = a.row(i);
-    T s{};
-    for (std::size_t j = 0; j < a.cols(); ++j) s += row[j] * x[j];
-    y[i] = s;
-  }
-  return y;
-}
-
-template <typename T>
-std::vector<T> matvec_transposed(const Matrix<T>& a, const std::vector<T>& x) {
-  if (a.rows() != x.size()) throw std::invalid_argument("matvec_transposed: dimension mismatch");
-  std::vector<T> y(a.cols(), T{});
-  for (std::size_t i = 0; i < a.rows(); ++i) {
-    const auto row = a.row(i);
-    const T xi = x[i];
-    for (std::size_t j = 0; j < a.cols(); ++j) y[j] += row[j] * xi;
-  }
-  return y;
-}
-
 double dot(std::span<const double> a, std::span<const double> b) {
   if (a.size() != b.size()) throw std::invalid_argument("dot: dimension mismatch");
   double s = 0.0;
@@ -68,12 +27,5 @@ void axpy(double s, std::span<const double> b, std::span<double> a) {
 
 template class Matrix<double>;
 template class Matrix<std::complex<double>>;
-template Matrix<double> matmul(const Matrix<double>&, const Matrix<double>&);
-template Matrix<std::complex<double>> matmul(const Matrix<std::complex<double>>&,
-                                             const Matrix<std::complex<double>>&);
-template std::vector<double> matvec(const Matrix<double>&, const std::vector<double>&);
-template std::vector<std::complex<double>> matvec(const Matrix<std::complex<double>>&,
-                                                  const std::vector<std::complex<double>>&);
-template std::vector<double> matvec_transposed(const Matrix<double>&, const std::vector<double>&);
 
 }  // namespace maopt::linalg

@@ -113,18 +113,6 @@ class Matrix {
 using Mat = Matrix<double>;
 using CMat = Matrix<std::complex<double>>;
 
-/// C = A * B.
-template <typename T>
-Matrix<T> matmul(const Matrix<T>& a, const Matrix<T>& b);
-
-/// y = A * x.
-template <typename T>
-std::vector<T> matvec(const Matrix<T>& a, const std::vector<T>& x);
-
-/// y = A^T * x (without materializing the transpose).
-template <typename T>
-std::vector<T> matvec_transposed(const Matrix<T>& a, const std::vector<T>& x);
-
 // --- Vector helpers (double) ---
 double dot(std::span<const double> a, std::span<const double> b);
 double norm2(std::span<const double> a);
@@ -134,13 +122,5 @@ void axpy(double s, std::span<const double> b, std::span<double> a);
 
 extern template class Matrix<double>;
 extern template class Matrix<std::complex<double>>;
-extern template Matrix<double> matmul(const Matrix<double>&, const Matrix<double>&);
-extern template Matrix<std::complex<double>> matmul(const Matrix<std::complex<double>>&,
-                                                    const Matrix<std::complex<double>>&);
-extern template std::vector<double> matvec(const Matrix<double>&, const std::vector<double>&);
-extern template std::vector<std::complex<double>> matvec(const Matrix<std::complex<double>>&,
-                                                         const std::vector<std::complex<double>>&);
-extern template std::vector<double> matvec_transposed(const Matrix<double>&,
-                                                      const std::vector<double>&);
 
 }  // namespace maopt::linalg

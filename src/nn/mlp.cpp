@@ -3,7 +3,6 @@
 #include <iterator>
 #include <utility>
 
-#include "common/check.hpp"
 
 namespace maopt::nn {
 
@@ -46,12 +45,6 @@ const Mat& Mlp::forward(const Mat& x) {
   return *h;
 }
 
-const Mat& Mlp::backward(const Mat& dy) {
-  const Mat* g = &dy;
-  for (auto it = layers_.rbegin(); it != layers_.rend(); ++it) g = &(*it)->backward(*g);
-  return *g;
-}
-
 void Mlp::backward_params(const Mat& dy) {
   const Mat* g = &dy;
   for (auto it = layers_.rbegin(); it != layers_.rend(); ++it) {
@@ -69,10 +62,6 @@ const Mat& Mlp::input_gradient(const Mat& dy) {
   const Mat* g = &dy;
   for (auto it = layers_.rbegin(); it != layers_.rend(); ++it) g = &(*it)->input_gradient(*g);
   return *g;
-}
-
-void Mlp::zero_grad() {
-  for (const auto& p : params()) p.grad->assign(p.grad->size(), 0.0);
 }
 
 std::vector<ParamRef> Mlp::params() {
@@ -93,21 +82,6 @@ std::size_t Mlp::num_parameters() const {
   std::size_t n = 0;
   for (const auto& p : params()) n += p.value->size();
   return n;
-}
-
-double mse_loss(const Mat& pred, const Mat& target, Mat* grad) {
-  MAOPT_CHECK(pred.rows() == target.rows() && pred.cols() == target.cols(),
-              "mse_loss: shape mismatch");
-  MAOPT_CHECK(!pred.empty(), "mse_loss: empty prediction");
-  const double n = static_cast<double>(pred.data().size());
-  double loss = 0.0;
-  if (grad) grad->ensure_shape(pred.rows(), pred.cols());  // every entry written below
-  for (std::size_t i = 0; i < pred.data().size(); ++i) {
-    const double d = pred.data()[i] - target.data()[i];
-    loss += d * d;
-    if (grad) grad->data()[i] = 2.0 * d / n;
-  }
-  return loss / n;
 }
 
 }  // namespace maopt::nn

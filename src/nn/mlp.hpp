@@ -31,16 +31,13 @@ class Mlp {
   /// across calls: valid until this network's next forward/backward-family
   /// call; copy the result to keep it longer.
   const Mat& forward(const Mat& x);
-  /// Accumulates parameter grads, returns dL/dX.
-  const Mat& backward(const Mat& dy);
   /// Accumulates parameter grads only — the bottom layer skips its dL/dX
-  /// GEMM. Use on training paths that discard backward()'s return value.
+  /// GEMM, which training never reads.
   void backward_params(const Mat& dy);
   /// Input gradient WITHOUT touching parameter grads (used when the critic
   /// only serves as a differentiable surrogate during actor training).
   const Mat& input_gradient(const Mat& dy);
 
-  void zero_grad();
   std::vector<ParamRef> params();
   std::vector<ConstParamRef> params() const;
 
@@ -51,8 +48,5 @@ class Mlp {
  private:
   std::vector<std::unique_ptr<Layer>> layers_;
 };
-
-/// Mean-squared-error over all entries; fills dL/dY_pred into `grad`.
-double mse_loss(const Mat& pred, const Mat& target, Mat* grad);
 
 }  // namespace maopt::nn

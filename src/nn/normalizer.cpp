@@ -30,32 +30,6 @@ Vec RangeScaler::from_unit(const Vec& u) const {
   return x;
 }
 
-Mat RangeScaler::to_unit(const Mat& x) const {
-  Mat u(x.rows(), x.cols());
-  for (std::size_t r = 0; r < x.rows(); ++r)
-    for (std::size_t c = 0; c < x.cols(); ++c) u(r, c) = (x(r, c) - center_[c]) / half_span_[c];
-  return u;
-}
-
-Mat RangeScaler::from_unit(const Mat& u) const {
-  Mat x(u.rows(), u.cols());
-  for (std::size_t r = 0; r < u.rows(); ++r)
-    for (std::size_t c = 0; c < u.cols(); ++c) x(r, c) = center_[c] + half_span_[c] * u(r, c);
-  return x;
-}
-
-Vec RangeScaler::delta_to_unit(const Vec& dx) const {
-  Vec du(dx.size());
-  for (std::size_t i = 0; i < dx.size(); ++i) du[i] = dx[i] / half_span_[i];
-  return du;
-}
-
-Vec RangeScaler::delta_from_unit(const Vec& du) const {
-  Vec dx(du.size());
-  for (std::size_t i = 0; i < du.size(); ++i) dx[i] = du[i] * half_span_[i];
-  return dx;
-}
-
 void ZScoreNormalizer::fit(const Mat& samples) {
   if (samples.rows() == 0) throw std::invalid_argument("ZScoreNormalizer::fit: empty sample set");
   const std::size_t n = samples.rows(), d = samples.cols();
@@ -75,12 +49,6 @@ void ZScoreNormalizer::fit(const Mat& samples) {
   }
 }
 
-Mat ZScoreNormalizer::transform(const Mat& x) const {
-  Mat z;
-  transform_into(x, z);
-  return z;
-}
-
 void ZScoreNormalizer::transform_into(const Mat& x, Mat& z) const {
   z.ensure_shape(x.rows(), x.cols());
   for (std::size_t r = 0; r < x.rows(); ++r)
@@ -91,24 +59,6 @@ void ZScoreNormalizer::inverse_into(const Mat& z, Mat& x) const {
   x.ensure_shape(z.rows(), z.cols());
   for (std::size_t r = 0; r < z.rows(); ++r)
     for (std::size_t c = 0; c < z.cols(); ++c) x(r, c) = z(r, c) * std_[c] + mean_[c];
-}
-
-Vec ZScoreNormalizer::transform(const Vec& x) const {
-  Vec z(x.size());
-  for (std::size_t i = 0; i < x.size(); ++i) z[i] = (x[i] - mean_[i]) / std_[i];
-  return z;
-}
-
-Vec ZScoreNormalizer::inverse(const Vec& z) const {
-  Vec x(z.size());
-  for (std::size_t i = 0; i < z.size(); ++i) x[i] = z[i] * std_[i] + mean_[i];
-  return x;
-}
-
-Vec ZScoreNormalizer::gradient_to_raw(const Vec& dz) const {
-  Vec dx(dz.size());
-  for (std::size_t i = 0; i < dz.size(); ++i) dx[i] = dz[i] / std_[i];
-  return dx;
 }
 
 }  // namespace maopt::nn

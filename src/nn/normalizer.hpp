@@ -23,12 +23,6 @@ class RangeScaler {
 
   Vec to_unit(const Vec& x) const;    ///< box -> [-1,1]
   Vec from_unit(const Vec& u) const;  ///< [-1,1] -> box (no clipping)
-  Mat to_unit(const Mat& x) const;
-  Mat from_unit(const Mat& u) const;
-
-  /// Scales a *difference* vector (no offset): delta_box -> delta_unit.
-  Vec delta_to_unit(const Vec& dx) const;
-  Vec delta_from_unit(const Vec& du) const;
 
   const Vec& lower() const { return lower_; }
   const Vec& upper() const { return upper_; }
@@ -43,17 +37,12 @@ class ZScoreNormalizer {
   void fit(const Mat& samples);
   bool fitted() const { return !mean_.empty(); }
 
-  Mat transform(const Mat& x) const;
-  /// Allocation-free variant for hot loops: `z` is reshaped (capacity
-  /// reused) and fully overwritten.
+  /// Row-wise standardization: `z` is reshaped (capacity reused) and fully
+  /// overwritten.
   void transform_into(const Mat& x, Mat& z) const;
-  /// Row-wise inverse of transform: `x` is reshaped (capacity reused) and
+  /// Row-wise inverse of transform_into: `x` is reshaped (capacity reused) and
   /// fully overwritten; must not alias `z`.
   void inverse_into(const Mat& z, Mat& x) const;
-  Vec transform(const Vec& x) const;
-  Vec inverse(const Vec& z) const;
-  /// Maps a gradient w.r.t. normalized values back to raw units (dz -> dx).
-  Vec gradient_to_raw(const Vec& dz) const;
 
   const Vec& mean() const { return mean_; }
   const Vec& std() const { return std_; }

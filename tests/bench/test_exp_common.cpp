@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdio>
 #include <fstream>
 
@@ -137,6 +138,27 @@ TEST(ExpCommon, PaperRosterHasFiveAlgorithmsInTableOrder) {
   EXPECT_EQ(roster[2]->name(), "MA-Opt1");
   EXPECT_EQ(roster[3]->name(), "MA-Opt2");
   EXPECT_EQ(roster[4]->name(), "MA-Opt");
+}
+
+TEST(ExpCommon, HistoryDigestSeesEveryBitOfDesignsAndMetrics) {
+  core::RunHistory h;
+  h.records.resize(2);
+  h.records[0].x = {0.25, 0.5};
+  h.records[0].metrics = {1.0, std::nan("")};  // failed simulations hash too
+  h.records[1].x = {0.75, 1.0};
+  h.records[1].metrics = {2.0, 3.0};
+  const std::string d = history_digest(h);
+  EXPECT_EQ(d.size(), 32u);
+  EXPECT_EQ(d.find_first_not_of("0123456789abcdef"), std::string::npos);
+  EXPECT_EQ(history_digest(h), d);
+
+  core::RunHistory flipped = h;
+  flipped.records[1].metrics[1] = std::nextafter(3.0, 4.0);
+  EXPECT_NE(history_digest(flipped), d);
+  core::RunHistory moved = h;  // same values, split differently between x and metrics
+  moved.records[1].x = {0.75};
+  moved.records[1].metrics = {1.0, 2.0, 3.0};
+  EXPECT_NE(history_digest(moved), d);
 }
 
 }  // namespace

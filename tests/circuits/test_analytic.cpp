@@ -2,8 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include "../support/constrained_rosenbrock.hpp"
+
 namespace maopt::ckt {
 namespace {
+
+using testing::ConstrainedRosenbrock;
 
 TEST(ConstrainedQuadratic, OptimumHasZeroTarget) {
   ConstrainedQuadratic p(4);

@@ -4,12 +4,14 @@
 
 #include <cmath>
 
+#include "../support/constrained_rosenbrock.hpp"
 #include "circuits/analytic_problems.hpp"
 #include "circuits/two_stage_ota.hpp"
-#include "core/history.hpp"
 
 namespace maopt::ckt {
 namespace {
+
+using testing::ConstrainedRosenbrock;
 
 TEST(Sensitivity, MatchesAnalyticGradientOfQuadratic) {
   // f0 = sum (x_i - 0.3)^2: df0/dx_j = 2(x_j - 0.3); mean metric: 1/d; x0: e0.
@@ -65,32 +67,6 @@ TEST(Sensitivity, FormatTableListsAllMetricsAndParams) {
   EXPECT_NE(table.find("sq_error"), std::string::npos);
   EXPECT_NE(table.find("x2"), std::string::npos);
   EXPECT_NE(table.find('*'), std::string::npos);
-}
-
-TEST(LhsSampling, StratifiedCoveragePerDimension) {
-  ConstrainedQuadratic p(2);
-  Rng rng(3);
-  const auto records = maopt::core::sample_initial_set_lhs(p, 10, rng);
-  ASSERT_EQ(records.size(), 10u);
-  // Exactly one sample per decile in each dimension.
-  for (std::size_t j = 0; j < 2; ++j) {
-    std::vector<int> bucket(10, 0);
-    for (const auto& r : records) {
-      const int b = std::min(9, static_cast<int>(r.x[j] * 10.0));
-      ++bucket[static_cast<std::size_t>(b)];
-    }
-    for (const int c : bucket) EXPECT_EQ(c, 1) << "dim " << j;
-  }
-}
-
-TEST(LhsSampling, EvaluatesAndRespectsIntegers) {
-  ConstrainedRosenbrock p(3);
-  Rng rng(4);
-  const auto records = maopt::core::sample_initial_set_lhs(p, 8, rng);
-  for (const auto& r : records) {
-    EXPECT_EQ(r.metrics.size(), p.num_metrics());
-    EXPECT_DOUBLE_EQ(r.x[2], std::round(r.x[2]));
-  }
 }
 
 }  // namespace

@@ -2,10 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include "../support/constrained_rosenbrock.hpp"
 #include "circuits/analytic_problems.hpp"
 
 namespace maopt::ckt {
 namespace {
+
+using testing::ConstrainedRosenbrock;
 
 TEST(Constraint, NormalizedViolationGreaterEqual) {
   const ConstraintSpec c{"g", "", ConstraintKind::GreaterEqual, 60.0, 1.0};

@@ -6,11 +6,24 @@
 #include <cmath>
 #include <thread>
 
+#include "../support/mlp_reference.hpp"
 #include "circuits/analytic_problems.hpp"
 #include "nn/adam.hpp"
 
 namespace maopt::core {
 namespace {
+
+/// Critic prediction for one (x, dx) pair in unit space.
+Vec predict_one(Critic& critic, const Vec& x_unit, const Vec& dx_unit) {
+  const std::size_t d = x_unit.size();
+  nn::Mat in(1, 2 * d);
+  for (std::size_t i = 0; i < d; ++i) {
+    in(0, i) = x_unit[i];
+    in(0, d + i) = dx_unit[i];
+  }
+  const nn::Mat out = critic.predict(in);
+  return Vec(out.row(0).begin(), out.row(0).end());
+}
 
 struct CriticFixture : ::testing::Test {
   CriticFixture() : problem(3), scaler(problem.lower_bounds(), problem.upper_bounds()) {
@@ -64,7 +77,7 @@ TEST_F(CriticFixture, LearnsToPredictMetrics) {
     const Vec uj = scaler.to_unit(xj);
     Vec du(3);
     for (int c = 0; c < 3; ++c) du[static_cast<std::size_t>(c)] = uj[static_cast<std::size_t>(c)] - ui[static_cast<std::size_t>(c)];
-    const Vec pred = critic.predict_one(ui, du);
+    const Vec pred = predict_one(critic, ui, du);
     const Vec truth = problem.evaluate(xj).metrics;
     for (std::size_t c = 0; c < 3; ++c) {
       err += std::abs(pred[c] - truth[c]);
@@ -84,8 +97,8 @@ TEST_F(CriticFixture, CopyPredictsIdentically) {
 
   Critic copy(critic);
   const Vec x(3, 0.2), dx(3, 0.1);
-  const Vec a = critic.predict_one(x, dx);
-  const Vec b = copy.predict_one(x, dx);
+  const Vec a = predict_one(critic, x, dx);
+  const Vec b = predict_one(copy, x, dx);
   for (std::size_t c = 0; c < 3; ++c) EXPECT_DOUBLE_EQ(a[c], b[c]);
 }
 
@@ -126,18 +139,22 @@ TEST_F(CriticFixture, ActionGradientMatchesFiniteDifference) {
 }
 
 TEST_F(CriticFixture, PredictOneMatchesBatchPredict) {
+  // A one-row prediction (the actor scoring one state) equals the same row
+  // of a batch prediction (near-sampling scoring many), bit for bit.
   Rng rng(11);
   Critic critic(3, 3, config, rng);
   critic.fit_normalizer(records);
   const Vec x(3, -0.3), dx(3, 0.2);
-  const Vec single = critic.predict_one(x, dx);
-  nn::Mat in(1, 6);
+  const Vec single = predict_one(critic, x, dx);
+  nn::Mat batch_in(5, 6);
+  Rng fill(12);
+  for (auto& v : batch_in.data()) v = fill.uniform(-1.0, 1.0);
   for (std::size_t c = 0; c < 3; ++c) {
-    in(0, c) = x[c];
-    in(0, 3 + c) = dx[c];
+    batch_in(2, c) = x[c];
+    batch_in(2, 3 + c) = dx[c];
   }
-  const nn::Mat batch = critic.predict(in);
-  for (std::size_t c = 0; c < 3; ++c) EXPECT_DOUBLE_EQ(single[c], batch(0, c));
+  const nn::Mat batch = critic.predict(batch_in);
+  for (std::size_t c = 0; c < 3; ++c) EXPECT_EQ(single[c], batch(2, c));
 }
 
 /// Every trainable value of `critic`, in parameter order.
@@ -195,7 +212,7 @@ TEST_F(CriticFixture, PoolLessRoundMatchesWholeBatchReference) {
       for (int s = 0; s < cfg.steps_per_round; ++s) {
         batcher.sample(cfg.batch_size, trng_b, x, y_raw);
         norm.transform_into(y_raw, y);
-        total += nn::mse_loss(net.forward(x), y, &grad);
+        total += nn::testing::mse_loss(net.forward(x), y, &grad);
         net.backward_params(grad);
         adam.step();
       }

@@ -7,7 +7,6 @@
 #include <filesystem>
 #include <fstream>
 #include <iterator>
-#include <sstream>
 
 #include "../support/corrupt_file_replay.hpp"
 #include "circuits/analytic_problems.hpp"
@@ -29,81 +28,6 @@ struct IoFixture : ::testing::Test {
   ckt::ConstrainedQuadratic problem;
   RunHistory history;
 };
-
-std::vector<std::string> split(const std::string& line) {
-  std::vector<std::string> cells;
-  std::stringstream ss(line);
-  std::string cell;
-  while (std::getline(ss, cell, ',')) cells.push_back(cell);
-  return cells;
-}
-
-TEST_F(IoFixture, RecordsCsvShape) {
-  std::ostringstream out;
-  write_records_csv(out, history, problem);
-  std::istringstream in(out.str());
-  std::string line;
-  ASSERT_TRUE(std::getline(in, line));
-  const auto header = split(line);
-  // index, phase, 3 params, 3 metrics, fom, feasible, simulation_ok
-  EXPECT_EQ(header.size(), 2u + 3 + 3 + 3);
-  EXPECT_EQ(header[0], "index");
-  EXPECT_EQ(header[2], "x0");
-  EXPECT_EQ(header[5], "sq_error");
-  EXPECT_EQ(header.back(), "simulation_ok");
-  std::size_t rows = 0;
-  while (std::getline(in, line)) {
-    EXPECT_EQ(split(line).size(), header.size());
-    ++rows;
-  }
-  EXPECT_EQ(rows, history.records.size());
-}
-
-TEST_F(IoFixture, PhaseColumnSeparatesInitialFromSearch) {
-  std::ostringstream out;
-  write_records_csv(out, history, problem);
-  std::istringstream in(out.str());
-  std::string line;
-  std::getline(in, line);  // header
-  std::size_t initial_rows = 0, search_rows = 0;
-  while (std::getline(in, line)) {
-    const auto cells = split(line);
-    if (cells[1] == "initial")
-      ++initial_rows;
-    else if (cells[1] == "search")
-      ++search_rows;
-  }
-  EXPECT_EQ(initial_rows, history.num_initial);
-  EXPECT_EQ(search_rows, history.simulations_used());
-}
-
-TEST_F(IoFixture, TrajectoryCsvShape) {
-  std::ostringstream out;
-  write_trajectory_csv(out, history);
-  std::istringstream in(out.str());
-  std::string line;
-  ASSERT_TRUE(std::getline(in, line));
-  EXPECT_EQ(line, "simulation,best_fom");
-  std::size_t rows = 0;
-  double prev = 1e300;
-  while (std::getline(in, line)) {
-    const auto cells = split(line);
-    ASSERT_EQ(cells.size(), 2u);
-    const double v = std::stod(cells[1]);
-    EXPECT_LE(v, prev);
-    prev = v;
-    ++rows;
-  }
-  EXPECT_EQ(rows, history.simulations_used());
-}
-
-TEST_F(IoFixture, FileVariantWritesAndFailsOnBadPath) {
-  EXPECT_THROW(write_trajectory_csv("/nonexistent-dir/x.csv", history), std::runtime_error);
-  const std::string path = "/tmp/maopt_history_io_test.csv";
-  write_records_csv(path, history, problem);
-  std::ifstream check(path);
-  EXPECT_TRUE(check.good());
-}
 
 TEST_F(IoFixture, CheckpointRoundTripPreservesEverything) {
   history.aborted = true;

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "../support/constrained_rosenbrock.hpp"
 #include "circuits/analytic_problems.hpp"
 #include "circuits/two_stage_ota.hpp"
 #include "core/random_search.hpp"
@@ -97,7 +98,7 @@ TEST_F(OptFixture, NoNearSamplingInMaOpt2) {
 }
 
 TEST_F(OptFixture, CandidatesRespectBoundsAndIntegrality) {
-  ckt::ConstrainedRosenbrock rosen(4);
+  ckt::testing::ConstrainedRosenbrock rosen(4);
   Rng rng(6);
   auto init = sample_initial_set(rosen, 20, rng);
   std::vector<linalg::Vec> rows;

@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <cmath>
 
+#include "../support/constrained_rosenbrock.hpp"
 #include "circuits/analytic_problems.hpp"
 
 namespace maopt::core {
@@ -92,7 +93,7 @@ TEST_F(NsFixture, SingleSampleDegenerateCase) {
 }
 
 TEST_F(NsFixture, IntegerParametersStayIntegral) {
-  ckt::ConstrainedRosenbrock rosen(3);  // last param integer
+  ckt::testing::ConstrainedRosenbrock rosen(3);  // last param integer
   nn::RangeScaler rscaler(rosen.lower_bounds(), rosen.upper_bounds());
   ckt::FomEvaluator rfom(rosen, 1.0);
   std::vector<SimRecord> recs;

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include "../support/constrained_rosenbrock.hpp"
 #include "circuits/analytic_problems.hpp"
 #include "core/de.hpp"
 #include "core/pso.hpp"
@@ -48,7 +49,7 @@ TEST_F(BaselineFixture, PsoCandidatesWithinBounds) {
 }
 
 TEST_F(BaselineFixture, DeCandidatesRespectIntegerMask) {
-  ckt::ConstrainedRosenbrock rosen(4);
+  ckt::testing::ConstrainedRosenbrock rosen(4);
   Rng rng(2);
   auto init = sample_initial_set(rosen, 16, rng);
   std::vector<linalg::Vec> rows;

@@ -11,6 +11,7 @@
 #include <string>
 #include <vector>
 
+#include "../support/constrained_rosenbrock.hpp"
 #include "circuits/analytic_problems.hpp"
 #include "circuits/folded_cascode_ota.hpp"
 #include "circuits/ldo_regulator.hpp"
@@ -130,7 +131,7 @@ TEST_F(EntryPointAgreement, SetProcessVariationThrowsOnEveryProblem) {
   ckt::LdoRegulator ldo;
   deck::DeckProblem deck = deck::DeckProblem::from_files(kDeck);
   ckt::ConstrainedQuadratic quad(3);
-  ckt::ConstrainedRosenbrock rosenbrock(3);
+  ckt::testing::ConstrainedRosenbrock rosenbrock(3);
   ckt::ResilientEvaluator resilient(ota);
   ckt::FaultInjectingProblem faults(ota, ckt::FaultInjectionConfig{});
   eval::EvalService service(ota);

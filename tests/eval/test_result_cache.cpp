@@ -170,12 +170,26 @@ TEST_F(CacheDir, TruncatedTailKeepsCompleteRecords) {
 }
 
 TEST_F(CacheDir, CompactRewritesExactlyCurrentEntries) {
-  ResultCache cache(config());
-  cache.insert(key_of(1, {1.0}), 1, {1.0}, {10.0});
-  cache.insert(key_of(1, {2.0}), 1, {2.0}, {20.0});
-  const auto before = fs::file_size(journal);
-  cache.compact();
-  EXPECT_EQ(fs::file_size(journal), before);  // nothing to drop: same bytes
+  {
+    ResultCache a(config());
+    ResultCache b(config());  // a second writer appending to the same journal
+    a.insert(key_of(1, {1.0}), 1, {1.0}, {10.0});
+    b.insert(key_of(1, {1.0}), 1, {1.0}, {10.0});  // the same key, recorded twice
+    a.insert(key_of(1, {2.0}), 1, {2.0}, {20.0});
+  }
+  const auto with_duplicate = fs::file_size(journal);
+  {
+    // Reference: a journal holding exactly the two distinct records.
+    ResultCache::Config ref = config();
+    ref.journal_path = (dir / "reference.bin").string();
+    ResultCache c(ref);
+    c.insert(key_of(1, {1.0}), 1, {1.0}, {10.0});
+    c.insert(key_of(1, {2.0}), 1, {2.0}, {20.0});
+  }
+  ResultCache cache(config());  // loading finds the duplicate and compacts
+  EXPECT_LT(fs::file_size(journal), with_duplicate);
+  EXPECT_EQ(fs::file_size(journal), fs::file_size(dir / "reference.bin"));
+  EXPECT_EQ(cache.size(), 2u);
   EXPECT_EQ(cache.lookup(key_of(1, {1.0})).value(), Vec{10.0});
   cache.insert(key_of(1, {3.0}), 1, {3.0}, {30.0});  // appends still work
   ResultCache reopened(config());

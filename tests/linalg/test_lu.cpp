@@ -2,15 +2,19 @@
 
 #include <gtest/gtest.h>
 
+#include "../support/naive_linalg.hpp"
+#include "common/check.hpp"
 #include "common/rng.hpp"
 
 namespace maopt::linalg {
 namespace {
 
+using testing::dense_solve;
+
 TEST(Lu, Solves2x2System) {
   Mat a(2, 2, {2, 1, 1, 3});
   const std::vector<double> b{5, 10};
-  const auto x = lu_solve(a, b);
+  const auto x = dense_solve(a, b);
   EXPECT_NEAR(x[0], 1.0, 1e-12);
   EXPECT_NEAR(x[1], 3.0, 1e-12);
 }
@@ -18,25 +22,30 @@ TEST(Lu, Solves2x2System) {
 TEST(Lu, PivotingHandlesZeroDiagonal) {
   Mat a(2, 2, {0, 1, 1, 0});
   const std::vector<double> b{2, 3};
-  const auto x = lu_solve(a, b);
+  const auto x = dense_solve(a, b);
   EXPECT_NEAR(x[0], 3.0, 1e-12);
   EXPECT_NEAR(x[1], 2.0, 1e-12);
 }
 
 TEST(Lu, SingularMatrixThrows) {
-  Mat a(2, 2, {1, 2, 2, 4});
-  EXPECT_THROW(LuReal dec(a), std::runtime_error);
+  LuWorkReal ws;
+  ws.matrix() = Mat(2, 2, {1, 2, 2, 4});
+  EXPECT_FALSE(lu_factor(ws));
+  std::vector<double> x;
+  EXPECT_THROW(lu_solve_factored(ws, {1.0, 2.0}, x), ContractViolation);
 }
 
 TEST(Lu, NonSquareThrows) {
-  Mat a(2, 3);
-  EXPECT_THROW(LuReal dec(a), std::invalid_argument);
+  LuWorkReal ws;
+  ws.matrix() = Mat(2, 3);
+  EXPECT_THROW(lu_factor(ws), std::invalid_argument);
 }
 
 TEST(Lu, DeterminantKnown) {
-  Mat a(2, 2, {3, 8, 4, 6});
-  const LuReal dec(a);
-  EXPECT_NEAR(dec.determinant(), -14.0, 1e-10);
+  LuWorkReal ws;
+  ws.matrix() = Mat(2, 2, {3, 8, 4, 6});
+  ASSERT_TRUE(lu_factor(ws));
+  EXPECT_NEAR(ws.determinant(), -14.0, 1e-10);
 }
 
 TEST(Lu, SolveTransposedMatchesExplicit) {
@@ -48,9 +57,8 @@ TEST(Lu, SolveTransposedMatchesExplicit) {
   std::vector<double> b(n);
   for (auto& v : b) v = rng.uniform(-1, 1);
 
-  const LuReal dec(a);
-  const auto x1 = dec.solve_transposed(b);
-  const auto x2 = lu_solve(a.transposed(), b);
+  const auto x1 = dense_solve(a, b, /*transposed=*/true);
+  const auto x2 = dense_solve(a.transposed(), b);
   for (std::size_t i = 0; i < n; ++i) EXPECT_NEAR(x1[i], x2[i], 1e-10);
 }
 
@@ -58,7 +66,7 @@ TEST(Lu, ComplexSolve) {
   using C = std::complex<double>;
   CMat a(2, 2, {C(1, 1), C(0, 0), C(0, 0), C(0, 2)});
   const std::vector<C> b{C(2, 0), C(4, 0)};
-  const auto x = lu_solve(a, b);
+  const auto x = dense_solve(a, b);
   EXPECT_NEAR(x[0].real(), 1.0, 1e-12);
   EXPECT_NEAR(x[0].imag(), -1.0, 1e-12);
   EXPECT_NEAR(x[1].real(), 0.0, 1e-12);
@@ -75,9 +83,8 @@ TEST(Lu, ComplexSolveTransposed) {
   std::vector<C> b(n);
   for (auto& v : b) v = C(rng.uniform(-1, 1), rng.uniform(-1, 1));
 
-  const LuComplex dec(a);
-  const auto x1 = dec.solve_transposed(b);
-  const auto x2 = lu_solve(a.transposed(), b);
+  const auto x1 = dense_solve(a, b, /*transposed=*/true);
+  const auto x2 = dense_solve(a.transposed(), b);
   for (std::size_t i = 0; i < n; ++i) {
     EXPECT_NEAR(x1[i].real(), x2[i].real(), 1e-10);
     EXPECT_NEAR(x1[i].imag(), x2[i].imag(), 1e-10);
@@ -96,17 +103,19 @@ TEST_P(LuRoundTrip, SolveThenMultiplyRecoversRhs) {
   std::vector<double> b(static_cast<std::size_t>(n));
   for (auto& v : b) v = rng.uniform(-10, 10);
 
-  const auto x = lu_solve(a, b);
-  const auto back = matvec(a, x);
+  const auto x = dense_solve(a, b);
+  const auto back = testing::matvec(a, x);
   for (int i = 0; i < n; ++i) EXPECT_NEAR(back[static_cast<std::size_t>(i)], b[static_cast<std::size_t>(i)], 1e-8);
 }
 
 INSTANTIATE_TEST_SUITE_P(Sizes, LuRoundTrip, ::testing::Values(1, 2, 3, 5, 8, 13, 21, 34, 55));
 
 TEST(Lu, SolveDimensionMismatchThrows) {
-  Mat a(2, 2, {1, 0, 0, 1});
-  const LuReal dec(a);
-  EXPECT_THROW(dec.solve({1.0, 2.0, 3.0}), std::invalid_argument);
+  LuWorkReal ws;
+  ws.matrix() = Mat(2, 2, {1, 0, 0, 1});
+  ASSERT_TRUE(lu_factor(ws));
+  std::vector<double> x;
+  EXPECT_THROW(lu_solve_factored(ws, {1.0, 2.0, 3.0}, x), std::invalid_argument);
 }
 
 // --- Workspace (hot-path) API ---
@@ -119,31 +128,36 @@ Mat random_dd_matrix(std::size_t n, std::uint64_t seed) {
   return a;
 }
 
+// A "decomposition" here is a fresh workspace factored once. A workspace
+// that already held other systems must give the same bits.
+template <typename T>
+void expect_reused_matches_fresh(const Matrix<T>& a, const std::vector<T>& b,
+                                 const Matrix<T>& earlier) {
+  LuWorkspace<T> reused;
+  reused.matrix() = earlier;
+  ASSERT_TRUE(lu_factor(reused));
+  reused.matrix() = a;
+  ASSERT_TRUE(lu_factor(reused));
+  LuWorkspace<T> fresh;
+  fresh.matrix() = a;
+  ASSERT_TRUE(lu_factor(fresh));
+
+  std::vector<T> x, x_ref, xt, xt_ref;
+  lu_solve_factored(reused, b, x);
+  lu_solve_factored(fresh, b, x_ref);
+  lu_solve_factored_transposed(reused, b, xt);
+  lu_solve_factored_transposed(fresh, b, xt_ref);
+  EXPECT_EQ(x, x_ref);
+  EXPECT_EQ(xt, xt_ref);
+  EXPECT_EQ(reused.determinant(), fresh.determinant());
+}
+
 TEST(LuWorkspaceTest, FactoredSolveIsBitIdenticalToDecomposition) {
   const std::size_t n = 9;
-  const Mat a = random_dd_matrix(n, 7);
   Rng rng(8);
   std::vector<double> b(n);
   for (auto& v : b) v = rng.uniform(-5, 5);
-
-  LuWorkReal ws;
-  ws.matrix() = a;
-  ASSERT_TRUE(lu_factor(ws));
-  std::vector<double> x;
-  lu_solve_factored(ws, b, x);
-
-  // LuDecomposition runs on the same kernels, so results must match exactly.
-  const LuReal dec(a);
-  const auto x_ref = dec.solve(b);
-  ASSERT_EQ(x.size(), x_ref.size());
-  for (std::size_t i = 0; i < n; ++i) EXPECT_EQ(x[i], x_ref[i]);
-
-  std::vector<double> xt;
-  lu_solve_factored_transposed(ws, b, xt);
-  const auto xt_ref = dec.solve_transposed(b);
-  for (std::size_t i = 0; i < n; ++i) EXPECT_EQ(xt[i], xt_ref[i]);
-
-  EXPECT_EQ(ws.determinant(), dec.determinant());
+  expect_reused_matches_fresh(random_dd_matrix(n, 7), b, random_dd_matrix(n, 6));
 }
 
 TEST(LuWorkspaceTest, ComplexFactoredSolveMatchesDecomposition) {
@@ -151,24 +165,16 @@ TEST(LuWorkspaceTest, ComplexFactoredSolveMatchesDecomposition) {
   const std::size_t n = 7;
   Rng rng(11);
   CMat a(n, n);
+  CMat earlier(n, n);
   for (auto& v : a.data()) v = C(rng.uniform(-1, 1), rng.uniform(-1, 1));
-  for (std::size_t i = 0; i < n; ++i) a(i, i) += C(5, 0);
+  for (auto& v : earlier.data()) v = C(rng.uniform(-1, 1), rng.uniform(-1, 1));
+  for (std::size_t i = 0; i < n; ++i) {
+    a(i, i) += C(5, 0);
+    earlier(i, i) += C(5, 0);
+  }
   std::vector<C> b(n);
   for (auto& v : b) v = C(rng.uniform(-1, 1), rng.uniform(-1, 1));
-
-  LuWorkComplex ws;
-  ws.matrix() = a;
-  ASSERT_TRUE(lu_factor(ws));
-  std::vector<C> x;
-  lu_solve_factored(ws, b, x);
-  const LuComplex dec(a);
-  const auto x_ref = dec.solve(b);
-  for (std::size_t i = 0; i < n; ++i) EXPECT_EQ(x[i], x_ref[i]);
-
-  std::vector<C> xt;
-  lu_solve_factored_transposed(ws, b, xt);
-  const auto xt_ref = dec.solve_transposed(b);
-  for (std::size_t i = 0; i < n; ++i) EXPECT_EQ(xt[i], xt_ref[i]);
+  expect_reused_matches_fresh(a, b, earlier);
 }
 
 TEST(LuWorkspaceTest, SteadyStateReuseNeverReallocates) {

@@ -4,8 +4,15 @@
 
 #include <stdexcept>
 
+#include "../support/naive_linalg.hpp"
+
 namespace maopt::linalg {
 namespace {
+
+// The naive products are the oracle of the blocked kernels; these pin them.
+using testing::matmul;
+using testing::matvec;
+using testing::matvec_transposed;
 
 TEST(Matrix, ConstructAndIndex) {
   Mat m(2, 3, 0.0);

@@ -4,10 +4,14 @@
 
 #include <cmath>
 
+#include "../support/mlp_reference.hpp"
 #include "nn/adam.hpp"
 
 namespace maopt::nn {
 namespace {
+
+using testing::mse_loss;
+using testing::zero_grad;
 
 TEST(Mlp, ShapesPropagate) {
   Rng rng(0);
@@ -52,8 +56,9 @@ TEST(Mlp, FullGradientCheck) {
 
   Mat y = net.forward(x);
   Mat dy(y.rows(), y.cols(), 1.0);
-  net.zero_grad();
-  const Mat dx = net.backward(dy);
+  zero_grad(net);
+  net.backward_params(dy);
+  const Mat dx = net.input_gradient(dy);
 
   auto loss = [&](const Mat& input) {
     const Mat out = net.forward(input);
@@ -86,7 +91,7 @@ TEST(Mlp, InputGradientLeavesParamGradsUntouched) {
   Mlp net(2, {4}, 1, rng);
   Mat x(2, 2, 0.3);
   net.forward(x);
-  net.zero_grad();
+  zero_grad(net);
   Mat dy(2, 1, 1.0);
   net.input_gradient(dy);
   for (const auto& p : net.params())
@@ -100,9 +105,20 @@ TEST(Mlp, InputGradientMatchesBackward) {
   Mat dy(2, 2, 0.7);
   net.forward(x);
   const Mat g1 = net.input_gradient(dy);
-  net.forward(x);
-  net.zero_grad();
-  const Mat g2 = net.backward(dy);
+
+  // Reference: the same weights in a hand-built Linear-Relu-Linear stack,
+  // differentiated by each layer's full backward().
+  Rng other(99);
+  Linear l1(3, 6, other), l2(6, 2, other);
+  Relu relu(6);
+  const auto p = net.params();
+  l1.weights() = *p[0].value;
+  l1.bias() = *p[1].value;
+  l2.weights() = *p[2].value;
+  l2.bias() = *p[3].value;
+  l2.forward(relu.forward(l1.forward(x)));
+  const Mat g2 = l1.backward(relu.backward(l2.backward(dy)));
+  ASSERT_EQ(g1.data().size(), g2.data().size());
   for (std::size_t i = 0; i < g1.data().size(); ++i)
     EXPECT_DOUBLE_EQ(g1.data()[i], g2.data()[i]);
 }
@@ -148,7 +164,7 @@ TEST(Mlp, LearnsSineFunction) {
     }
     const Mat pred = net.forward(x);
     final_loss = mse_loss(pred, y, &grad);
-    net.backward(grad);
+    net.backward_params(grad);
     opt.step();
   }
   EXPECT_LT(final_loss, 1e-3);

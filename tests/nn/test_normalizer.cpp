@@ -32,21 +32,12 @@ TEST(RangeScaler, RoundTrip) {
 }
 
 TEST(RangeScaler, DeltaScalingIsOffsetFree) {
+  // The critic reads design moves as unit-space differences: a box move of
+  // dx maps to dx / half-span wherever it starts.
   RangeScaler s({0.0}, {10.0});
-  EXPECT_DOUBLE_EQ(s.delta_to_unit(Vec{5.0})[0], 1.0);  // 5 / half-span(5)
-  EXPECT_DOUBLE_EQ(s.delta_from_unit(Vec{1.0})[0], 5.0);
-}
-
-TEST(RangeScaler, MatrixOverloadMatchesVector) {
-  RangeScaler s({0.0, 0.0}, {1.0, 2.0});
-  Mat x(2, 2, {0.2, 0.4, 0.8, 1.6});
-  const Mat u = s.to_unit(x);
-  for (std::size_t r = 0; r < 2; ++r) {
-    const Vec row(x.row(r).begin(), x.row(r).end());
-    const Vec uv = s.to_unit(row);
-    EXPECT_DOUBLE_EQ(u(r, 0), uv[0]);
-    EXPECT_DOUBLE_EQ(u(r, 1), uv[1]);
-  }
+  for (const double x : {0.0, 2.5, 7.0})
+    EXPECT_DOUBLE_EQ(s.to_unit(Vec{x + 5.0})[0] - s.to_unit(Vec{x})[0], 1.0);  // 5 / half-span(5)
+  EXPECT_DOUBLE_EQ(s.from_unit(Vec{0.5})[0] - s.from_unit(Vec{-0.5})[0], 5.0);
 }
 
 TEST(RangeScaler, InvalidBoundsThrow) {
@@ -63,7 +54,8 @@ TEST(ZScore, TransformedColumnsAreStandardized) {
   }
   ZScoreNormalizer z;
   z.fit(samples);
-  const Mat t = z.transform(samples);
+  Mat t;
+  z.transform_into(samples, t);
   for (std::size_t c = 0; c < 2; ++c) {
     double m = 0.0, v = 0.0;
     for (std::size_t r = 0; r < 100; ++r) m += t(r, c);
@@ -80,27 +72,34 @@ TEST(ZScore, RoundTrip) {
   for (std::size_t r = 0; r < 10; ++r) samples(r, 0) = static_cast<double>(r);
   ZScoreNormalizer z;
   z.fit(samples);
-  const Vec x{3.7};
-  EXPECT_NEAR(z.inverse(z.transform(x))[0], 3.7, 1e-12);
+  const Mat x(1, 1, {3.7});
+  Mat t, back;
+  z.transform_into(x, t);
+  z.inverse_into(t, back);
+  EXPECT_NEAR(back(0, 0), 3.7, 1e-12);
 }
 
 TEST(ZScore, ConstantColumnSafe) {
   Mat samples(5, 1, 2.0);
   ZScoreNormalizer z;
   z.fit(samples);
-  const Vec t = z.transform(Vec{2.0});
-  EXPECT_DOUBLE_EQ(t[0], 0.0);
-  EXPECT_DOUBLE_EQ(z.inverse(t)[0], 2.0);
+  Mat t, back;
+  z.transform_into(Mat(1, 1, {2.0}), t);
+  EXPECT_DOUBLE_EQ(t(0, 0), 0.0);
+  z.inverse_into(t, back);
+  EXPECT_DOUBLE_EQ(back(0, 0), 2.0);
 }
 
 TEST(ZScore, GradientChainRule) {
   Mat samples(4, 1, {0.0, 2.0, 4.0, 6.0});
   ZScoreNormalizer z;
   z.fit(samples);
-  // raw = z*std + mean => d raw/d z = std => dz = draw * std; gradient_to_raw
-  // maps d/dz -> d/draw = (d/dz) / std.
-  const Vec g = z.gradient_to_raw(Vec{1.0});
-  EXPECT_NEAR(g[0], 1.0 / z.std()[0], 1e-12);
+  // raw = z*std + mean => d raw / d z = std: the factor the critic applies
+  // when it carries a raw-metric gradient back to its normalized outputs.
+  Mat lo, hi;
+  z.inverse_into(Mat(1, 1, {0.25}), lo);
+  z.inverse_into(Mat(1, 1, {1.25}), hi);
+  EXPECT_NEAR(hi(0, 0) - lo(0, 0), z.std()[0], 1e-12);
 }
 
 TEST(ZScore, FitEmptyThrows) {

@@ -4,11 +4,13 @@
 
 #include <cmath>
 
+#include "../support/mlp_reference.hpp"
 #include "nn/adam.hpp"
-#include "nn/mlp.hpp"
 
 namespace maopt::nn {
 namespace {
+
+using testing::mse_loss;
 
 class AdamLrSweep : public ::testing::TestWithParam<double> {};
 
@@ -50,7 +52,7 @@ TEST_P(MlpWidthSweep, FitsQuadraticMap) {
     }
     const Mat pred = net.forward(x);
     loss = mse_loss(pred, y, &grad);
-    net.backward(grad);
+    net.backward_params(grad);
     opt.step();
   }
   EXPECT_LT(loss, target_loss) << "width=" << width;
@@ -69,8 +71,8 @@ TEST(TrainingProperties, DeeperTanhNetStillHasHealthyGradients) {
   Mat x(16, 4, 0.25);
   Mat dy(16, 1, 1.0);
   net.forward(x);
-  net.zero_grad();
-  net.backward(dy);
+  testing::zero_grad(net);
+  net.backward_params(dy);
   double grad_norm = 0.0;
   const auto params = net.params();
   for (const double g : *params[0].grad) grad_norm += g * g;

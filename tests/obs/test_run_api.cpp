@@ -135,7 +135,9 @@ TEST_F(RunApiFixture, CriticLossReportedOnEveryTrainingIteration) {
         EXPECT_TRUE(std::isnan(it.critic_loss)) << opt->name() << " iteration " << it.iteration;
       }
     }
-    if (trains_critic) EXPECT_GT(training, 0);
+    if (trains_critic) {
+      EXPECT_GT(training, 0);
+    }
   }
 }
 

@@ -3,14 +3,14 @@
 // The factor/solve split, the allocation-free Newton workspace, and the
 // G + jωC AC decomposition must not change simulator answers. Each test
 // compares the reworked path against the dense one-shot reference that
-// predates it (build_ac_system + lu_solve, per-call LuDecomposition) on a
+// predates it (build_ac_system + a fresh LU factorization per solve) on a
 // nonlinear MOSFET testbench, to a 1e-12 relative tolerance.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <complex>
 
-#include "linalg/lu.hpp"
+#include "../support/naive_linalg.hpp"
 #include "spice/ac_analysis.hpp"
 #include "spice/dc_analysis.hpp"
 #include "spice/devices.hpp"
@@ -29,9 +29,8 @@ double rel_err(double got, double want) {
 
 double rel_err(C got, C want) { return std::abs(got - want) / std::max(std::abs(want), 1e-30); }
 
-/// Two-transistor amplifier exercising every AC-relevant stamp family:
-/// Mosfet (G and Meyer caps), Resistor, Capacitor, VSource (dc + ac),
-/// ISource bias, CurrentSinkLoad.
+using linalg::testing::dense_solve;
+
 struct AmpBench {
   Netlist net;
   VSource* vin = nullptr;
@@ -109,7 +108,7 @@ TEST(GoldenAc, SweepMatchesOneShotLuReference) {
     CMat a_ref;
     CVec rhs_ref;
     b.net.build_ac_system(omega, op.x, a_ref, rhs_ref);
-    const std::vector<C> x_ref = linalg::lu_solve(a_ref, rhs_ref);
+    const std::vector<C> x_ref = dense_solve(a_ref, rhs_ref);
     ASSERT_EQ(sweep.solutions[k].size(), x_ref.size());
     // Normwise relative error: componentwise comparison on tiny components
     // would amplify the ~1 ulp assembly difference past any fixed tolerance.
@@ -133,7 +132,7 @@ TEST(GoldenDc, SolutionIsAFixedPointOfTheOneShotReference) {
   Mat a;
   Vec rhs;
   b.net.build_nonlinear_system(op.x, 1.0, -1.0, 1e-12, a, rhs);
-  const Vec x_next = linalg::lu_solve(a, rhs);
+  const Vec x_next = dense_solve(a, rhs);
   for (std::size_t i = 0; i < op.x.size(); ++i)
     EXPECT_NEAR(x_next[i], op.x[i], 1e-6) << "unknown " << i;
 }
@@ -222,8 +221,7 @@ TEST(GoldenNoise, AdjointSolveMatchesOneShotTransposedReference) {
     b.net.build_ac_system(omega, op.x, a, rhs);
     CVec e_out(a.rows(), C{});
     e_out[static_cast<std::size_t>(b.out)] = C(1.0, 0.0);
-    const linalg::LuComplex dec(a);
-    const CVec z = dec.solve_transposed(e_out);
+    const CVec z = dense_solve(a, e_out, /*transposed=*/true);
     double psd = 0.0;
     for (const auto& s : sources) {
       C tf{};
