@@ -1,7 +1,8 @@
 // Training-hot-path regression benchmark (the perf record behind the
 // runtime rows): measures the GEMM kernels, Critic::train_round (serial and
 // partitioned over a pool) and CriticEnsemble::train_round on the paper net
-// (2 x 100 hidden, batch 32), then writes BENCH_train.json so the numbers
+// (2 x 100 hidden, batch 32), and the 3-actor lockstep ActorRound at OTA
+// shapes (pool-less and on 4 threads), then writes BENCH_train.json so the numbers
 // are versioned and future PRs can spot regressions. End-to-end throughput
 // lives in perfbench/ (the paper_ota workload).
 //
@@ -13,6 +14,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
+#include <memory>
 
 #include "../tests/support/naive_linalg.hpp"
 #include "exp_common.hpp"
@@ -148,6 +150,69 @@ int main(int argc, char** argv) {
       std::printf("ensemble train_round (%zu members, %zu threads): %.2f ms\n", members, nthreads,
                   ms);
       metrics.push_back({"ensemble_train_round_" + std::to_string(nthreads) + "t_ms", ms, "ms"});
+    }
+  }
+
+  // --- 3) the lockstep actor round on the OTA (d = 16, m+1 = 9): three
+  // paper actors (batch 64, 30 steps) against one trained paper critic,
+  // each scoring 20 elite states ---
+  {
+    const ckt::TwoStageOta ota;
+    const std::size_t dim = ota.dim(), num_metrics = ota.num_metrics(), num_actors = 3;
+    const nn::RangeScaler scaler(ota.lower_bounds(), ota.upper_bounds());
+    Rng rng(5);
+    std::vector<core::SimRecord> records;
+    std::vector<linalg::Vec> rows;
+    for (core::SimRecord& r : core::sample_initial_set(ota, smoke ? 20 : 100, rng))
+      if (r.simulation_ok) {
+        rows.push_back(r.metrics);
+        records.push_back(std::move(r));
+      }
+    const core::PseudoSampleBatcher batcher(records, scaler);
+    const auto fom = ckt::FomEvaluator::fit_reference(ota, rows);
+    core::CriticConfig ccfg;
+    ccfg.steps_per_round = smoke ? 5 : 50;
+    core::ActorConfig acfg;
+    if (smoke) acfg.steps_per_round = 3;
+    const int reps = smoke ? 2 : 30;
+
+    Rng crng(6), trng(7);
+    core::CriticEnsemble critic(1, dim, num_metrics, ccfg, crng);
+    critic.fit_normalizer(records);
+    critic.train_round(batcher, trng);
+    std::vector<core::ActorTask> tasks(num_actors);
+    for (std::size_t i = 0; i < num_actors; ++i) {
+      tasks[i].lb_unit.assign(dim, -0.5);
+      tasks[i].ub_unit.assign(dim, 0.5);
+      tasks[i].elites_unit = nn::Mat(20, dim, 0.0);
+      for (std::size_t k = 0; k < 20; ++k)
+        for (std::size_t c = 0; c < dim; ++c)
+          tasks[i].elites_unit(k, c) = batcher.unit_designs()(k % records.size(), c);
+    }
+    // Pool-less, then the caller plus MA-Opt's default 3-worker pool.
+    for (const std::size_t workers : {std::size_t{0}, std::size_t{3}}) {
+      std::vector<core::Actor> actors;
+      for (std::size_t i = 0; i < num_actors; ++i) {
+        Rng arng(derive_seed(8, i));
+        actors.emplace_back(dim, acfg, arng);
+      }
+      core::ActorRound round(dim, num_actors, acfg);
+      std::unique_ptr<ThreadPool> pool;
+      if (workers > 0) pool = std::make_unique<ThreadPool>(workers);
+      std::vector<double> ms;
+      for (int r = 0; r <= reps; ++r) {
+        for (std::size_t i = 0; i < num_actors; ++i) tasks[i].rng = Rng(derive_seed(9 + r, i));
+        const auto t0 = Clock::now();
+        round.run(actors, tasks, critic, fom, batcher.unit_designs(), pool.get());
+        if (r > 0) ms.push_back(seconds_since(t0) * 1e3);  // round 0 warms up
+        checksum_sink += round.loss(0);
+      }
+      std::sort(ms.begin(), ms.end());
+      const double median = ms[ms.size() / 2];
+      const std::string name = "actor_round_" + std::to_string(workers + 1) + "t_ms";
+      std::printf("actor round (%zu actors, %zu thread(s)): median %.2f ms [%.2f, %.2f]\n",
+                  num_actors, workers + 1, median, ms[ms.size() / 4], ms[3 * ms.size() / 4]);
+      metrics.push_back({name, median, "ms"});
     }
   }
 

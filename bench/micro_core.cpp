@@ -7,6 +7,7 @@
 #include "circuits/analytic_problems.hpp"
 #include "core/actor.hpp"
 #include "core/critic.hpp"
+#include "core/elite_set.hpp"
 #include "core/near_sampling.hpp"
 
 namespace {
@@ -56,19 +57,25 @@ void BM_CriticTrainRound(benchmark::State& state) {
 BENCHMARK(BM_CriticTrainRound);
 
 void BM_ActorTrainRound(benchmark::State& state) {
+  // One actor's lockstep round, pool-less: the per-actor cost of an
+  // iteration's actor training.
   Workbench w;
   Rng rng(5);
-  Critic critic(16, 3, w.critic_config, rng);
+  CriticEnsemble critic(1, 16, 3, w.critic_config, rng);
   critic.fit_normalizer(w.records);
   PseudoSampleBatcher batcher(w.records, w.scaler);
   Rng trng(6);
   critic.train_round(batcher, trng);
   ActorConfig acfg;
   Actor actor(16, acfg, rng);
-  const linalg::Vec lb(16, -1.0), ub(16, 1.0);
-  for (auto _ : state)
-    benchmark::DoNotOptimize(
-        actor.train_round(critic, w.fom, batcher.unit_designs(), lb, ub, trng));
+  // N_es = 20 elite states, as in the paper's runs.
+  ActorTask task{trng, linalg::Vec(16, -1.0), linalg::Vec(16, 1.0), nn::Mat(20, 16, 0.25)};
+  ActorRound round(16, 1, acfg);
+  for (auto _ : state) {
+    round.run(std::span<Actor>(&actor, 1), std::span<ActorTask>(&task, 1), critic, w.fom,
+              batcher.unit_designs());
+    benchmark::DoNotOptimize(round.loss(0));
+  }
 }
 BENCHMARK(BM_ActorTrainRound);
 

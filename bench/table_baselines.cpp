@@ -2,6 +2,8 @@
 // population methods the paper cites but does not run — PSO [7] and DE [8]
 // — plus a modernized BO (log-FoM + ARD) next to the vanilla BO baseline,
 // against DNN-Opt and MA-Opt. Default workload: the two-stage OTA.
+#include <cstdio>
+
 #include "core/de.hpp"
 #include "core/pso.hpp"
 #include "core/random_search.hpp"
@@ -15,12 +17,20 @@ int main(int argc, char** argv) {
 
   std::unique_ptr<ckt::SizingProblem> problem;
   const std::string which = args.get("circuit", "ota");
-  if (which == "tia")
-    problem = std::make_unique<ckt::ThreeStageTia>();
-  else if (which == "analytic")
-    problem = std::make_unique<ckt::ConstrainedQuadratic>(12);
-  else
+  if (which == "ota") {
     problem = std::make_unique<ckt::TwoStageOta>();
+  } else if (which == "tia") {
+    problem = std::make_unique<ckt::ThreeStageTia>();
+  } else if (which == "analytic") {
+    problem = std::make_unique<ckt::ConstrainedQuadratic>(12);
+  } else {
+    std::fprintf(stderr,
+                 "table_baselines: unknown --circuit '%s'\n"
+                 "usage: table_baselines [--circuit ota|tia|analytic] [--runs N] [--sims N] "
+                 "[--init N]\n",
+                 which.c_str());
+    return 2;
+  }
 
   std::vector<std::unique_ptr<core::Optimizer>> roster;
   roster.push_back(std::make_unique<core::RandomSearch>());

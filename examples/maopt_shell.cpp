@@ -124,7 +124,15 @@ int main(int argc, char** argv) {
   config.scheduler.capacity = static_cast<std::size_t>(args.get_int("capacity", 0));
   config.scheduler.quantum = static_cast<std::size_t>(args.get_int("quantum", 8));
   config.observer = job_events.get();
-  if (fault_rate > 0.0) config.resilient.emplace();  // retries absorb injected faults
+  if (fault_rate > 0.0) {
+    // Retries absorb injected faults. The injector's garbage metrics reach
+    // 1e12 in magnitude; real ota, tia and quad metrics stay below 1e5
+    // (about 1e4 at most over random designs and box corners), and the
+    // shipped decks' frequency measures end with their AC sweeps, at 10 GHz
+    // at most.
+    config.resilient.emplace();
+    config.resilient->max_metric_magnitude = 1e10;
+  }
   serve::OptDaemon daemon(config);
 
   daemon.add_problem("ota", ota);

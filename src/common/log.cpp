@@ -2,7 +2,6 @@
 
 #include <atomic>
 #include <chrono>
-#include <ctime>
 #include <cstdio>
 
 #include "common/thread_annotations.hpp"
@@ -38,22 +37,6 @@ void Stopwatch::reset() {
   start_ns_ = std::chrono::duration_cast<std::chrono::nanoseconds>(
                   std::chrono::steady_clock::now().time_since_epoch())
                   .count();
-}
-
-namespace {
-long long thread_cpu_ns() {
-  timespec ts{};
-  clock_gettime(CLOCK_THREAD_CPUTIME_ID, &ts);
-  return static_cast<long long>(ts.tv_sec) * 1000000000LL + ts.tv_nsec;
-}
-}  // namespace
-
-ThreadCpuTimer::ThreadCpuTimer() { reset(); }
-
-void ThreadCpuTimer::reset() { start_ns_ = thread_cpu_ns(); }
-
-double ThreadCpuTimer::elapsed_seconds() const {
-  return static_cast<double>(thread_cpu_ns() - start_ns_) * 1e-9;
 }
 
 double Stopwatch::elapsed_seconds() const {

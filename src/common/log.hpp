@@ -58,17 +58,4 @@ class Stopwatch {
   long long start_ns_;
 };
 
-/// CPU-time stopwatch scoped to the calling thread — used to attribute
-/// training vs simulation cost inside parallel actor workers without the
-/// overcounting a wall clock suffers when threads share cores.
-class ThreadCpuTimer {
- public:
-  ThreadCpuTimer();
-  double elapsed_seconds() const;
-  void reset();
-
- private:
-  long long start_ns_;
-};
-
 }  // namespace maopt

@@ -1,6 +1,7 @@
-// Fixed-size thread pool used to run the N_act actor trainings and SPICE
-// simulations of one MA-Opt iteration concurrently (the paper implements
-// this with N_act OS processes; threads give the same parallel structure).
+// Fixed-size thread pool: it serves the helpers of MA-Opt's phased critic
+// and actor rounds and runs an iteration's N_act SPICE simulations
+// concurrently (the paper runs its actors as N_act OS processes; here they
+// train in lockstep on the pool instead).
 #pragma once
 
 #include <cstddef>

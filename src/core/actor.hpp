@@ -4,11 +4,20 @@
 // bounding box. Training is the deterministic-policy-gradient chain
 //   dL/dtheta = (dg/dQ . dQ/da + dviol/da) . da/dtheta,
 // implemented with the critic's input-gradient path.
+//
+// The N_act actors of an iteration train together: ActorRound runs their
+// rounds as one sequence of lockstep steps against the frozen critic,
+// spread over the calling thread and a pool (DESIGN.md §12, "Lockstep actor
+// round").
 #pragma once
 
+#include <span>
+#include <vector>
+
 #include "circuits/fom.hpp"
+#include "common/thread_pool.hpp"
 #include "core/critic.hpp"
-#include "core/elite_set.hpp"
+#include "nn/chunked_net.hpp"
 
 namespace maopt::core {
 
@@ -23,39 +32,83 @@ struct ActorConfig {
 class Actor {
  public:
   Actor(std::size_t dim, const ActorConfig& config, Rng& rng);
-
-  /// One training round against `critic` (each thread passes its own copy).
-  /// States are rows of `population_unit` (population x dim, unit space —
-  /// the iteration's PseudoSampleBatcher::unit_designs()); `elite_lb/ub`
-  /// are the elite bounding box mapped to unit space, dim() entries each.
-  /// Returns the mean loss over the round. Allocation-free once the
-  /// per-actor workspaces have seen the batch shape.
-  double train_round(Surrogate& critic, const FomEvaluator& fom, const nn::Mat& population_unit,
-                     const Vec& elite_lb_unit, const Vec& elite_ub_unit, Rng& rng);
-
-  /// Algorithm 1 line 8: over the elite entries, pick the state whose
-  /// proposed move has the lowest critic-predicted FoM; returns the proposed
-  /// design in unit space (x* + mu(x*), unclipped).
-  Vec select_candidate_unit(Surrogate& critic, const FomEvaluator& fom,
-                            const std::vector<EliteSet::Entry>& elites,
-                            const nn::RangeScaler& scaler);
+  /// Move-only: the training views point into the network's layers.
+  Actor(Actor&&) = default;
 
   std::size_t dim() const { return dim_; }
   nn::Mlp& network() { return mlp_; }
 
  private:
-  /// Runs the actor on states_ and the critic on [states_, actions] into
-  /// raw_; returns the actions (valid until the actor's next forward or
-  /// backward call).
-  const nn::Mat& act_and_predict(Surrogate& critic);
+  friend class ActorRound;
 
   std::size_t dim_;
-  ActorConfig config_;
   nn::Mlp mlp_;
   nn::Adam adam_;
-  // Per-actor workspaces reused across steps and rounds.
-  nn::Mat states_, critic_in_, raw_, d_raw_, d_action_;
-  Vec viol_, sign_;  ///< per-row boundary violation and its direction (dim)
+  nn::ChunkedNet net_;
+  nn::ChunkedNet::Rows rows_;
+};
+
+/// One actor's inputs to a lockstep round. The caller fills them before
+/// each round; the buffers keep their capacity from round to round.
+struct ActorTask {
+  Rng rng;               ///< the actor's minibatch stream
+  Vec lb_unit, ub_unit;  ///< its elite bounding box in unit space (Eq. 6)
+  nn::Mat elites_unit;   ///< its elite states in unit space, one per row
+};
+
+/// The lockstep round of up to `max_actors` actors, and its workspace.
+class ActorRound {
+ public:
+  ActorRound(std::size_t dim, std::size_t max_actors, const ActorConfig& config);
+
+  /// Trains actors[i] for `steps_per_round` steps against the frozen
+  /// `critic`, on minibatches of `population_unit` rows (the iteration's
+  /// PseudoSampleBatcher::unit_designs()) drawn from tasks[i].rng, then
+  /// picks its candidate (Algorithm 1 line 8): over tasks[i].elites_unit,
+  /// the state whose proposed move has the lowest critic-predicted FoM.
+  /// Every step is two phases of fixed chunks run by the caller plus idle
+  /// workers of `pool` (the caller alone when null); the weights, losses and
+  /// proposals are bit-identical for any pool. Allocation-free once warm,
+  /// apart from dispatching the helpers.
+  void run(std::span<Actor> actors, std::span<ActorTask> tasks, CriticEnsemble& critic,
+           const FomEvaluator& fom, const nn::Mat& population_unit, ThreadPool* pool = nullptr);
+
+  /// Actor i's mean training loss over the last round.
+  double loss(std::size_t i) const { return losses_[i]; }
+  /// Actor i's proposal from the last round: x* + mu(x*) in unit space,
+  /// unclipped.
+  std::span<const double> proposal(std::size_t i) const { return proposals_.row(i); }
+
+ private:
+  void predict(std::size_t i, std::size_t r0, std::size_t g0, std::size_t nr,
+               const double* actions);
+  void train_chunk(std::size_t chunk);
+  void params_chunk(std::size_t chunk);
+  void select_chunk(std::size_t chunk);
+
+  std::size_t dim_;
+  std::size_t max_actors_;
+  ActorConfig config_;
+  std::vector<std::size_t> batch_rows_;  ///< population row of every (actor, step, batch row)
+  std::vector<nn::AdamStep> adam_steps_;
+  std::vector<std::size_t> elite_offset_;  ///< first stacked row of each actor's elites
+  /// The frozen critic's per-row state for each (member m, actor i), at
+  /// m * max_actors + i: each actor's rows in blocks of their own, as its
+  /// own passes would size them.
+  std::vector<nn::ChunkedNet::Rows> critic_rows_;
+  // Stacked per-row state: actor i's training rows are [i N_b, (i+1) N_b);
+  // its elite rows are [elite_offset_[i], elite_offset_[i + 1]).
+  nn::Mat states_, critic_in_, raw_, d_raw_, member_raw_, member_grad_;
+  nn::Mat terms_;  ///< per row: the FoM term and the violation term of the loss
+  nn::Mat proposals_;
+  Vec losses_;
+  // The round in progress, for the chunk functions.
+  std::span<Actor> actors_;
+  std::span<ActorTask> tasks_;
+  CriticEnsemble* critic_ = nullptr;
+  const FomEvaluator* fom_ = nullptr;
+  const nn::Mat* population_ = nullptr;
+  std::size_t step_ = 0;
 };
 
 }  // namespace maopt::core

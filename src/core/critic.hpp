@@ -8,6 +8,7 @@
 #include "common/thread_pool.hpp"
 #include "core/pseudo_samples.hpp"
 #include "nn/adam.hpp"
+#include "nn/chunked_net.hpp"
 #include "nn/mlp.hpp"
 
 namespace maopt::core {
@@ -53,11 +54,8 @@ class Critic final : public Surrogate {
  public:
   Critic(std::size_t dim, std::size_t num_metrics, const CriticConfig& config, Rng& rng);
 
-  /// Copy shares no state; used to give each actor-training thread a private
-  /// forward/backward workspace. The optimizer state is reset in the copy,
-  /// and the training buffers are not copied.
-  Critic(const Critic& other);
-  Critic& operator=(const Critic&) = delete;
+  /// Move-only: the training views point into the network's layers.
+  Critic(Critic&&) = default;
 
   /// Runs `steps_per_round` minibatch steps on pseudo-samples (the metric
   /// normalizer must be fitted). Returns mean MSE (normalized units) over
@@ -79,34 +77,25 @@ class Critic final : public Surrogate {
   std::size_t num_metrics() const override { return num_metrics_; }
   std::size_t num_parameters() const { return mlp_.num_parameters(); }
   nn::Mlp& network() { return mlp_; }
+  /// The row-chunked view of network() that the training round and the
+  /// actors' lockstep round run on.
+  nn::ChunkedNet& chunked() { return net_; }
+  const nn::ZScoreNormalizer& normalizer() const { return norm_; }
 
  private:
-  /// One Linear layer of mlp_ as the training round sees it: W is (in x out)
-  /// row-major; act/grad are its (batch x out) output and loss gradient.
-  struct LayerView {
-    std::size_t in = 0, out = 0;
-    Vec *w = nullptr, *dw = nullptr, *b = nullptr, *db = nullptr;
-    nn::Mat act;     ///< output; ReLU applied in place on hidden layers
-    nn::Mat grad;    ///< dL/d(pre-activation output)
-    nn::Mat packed;  ///< W^T (out x in) for the input-gradient GEMM
-  };
-
-  void bind_layers();
-  void prepare_round(std::size_t batch);
-  std::size_t num_param_chunks() const;
   void rows_chunk(std::size_t chunk);
-  void params_chunk(std::size_t chunk, const nn::AdamStep& step);
 
   std::size_t dim_;
   std::size_t num_metrics_;
   CriticConfig config_;
   nn::Mlp mlp_;
   nn::Adam adam_;
+  nn::ChunkedNet net_;
   nn::ZScoreNormalizer norm_;
-  // Training state reused across train_round calls (not copied).
-  std::vector<LayerView> layers_;
+  // Training state reused across train_round calls.
+  nn::ChunkedNet::Rows rows_;
   nn::Mat batch_x_, batch_y_raw_, batch_y_;
-  // Normalized-space loss gradient for action_gradient_into (not copied).
+  // Normalized-space loss gradient for action_gradient_into.
   nn::Mat dz_;
 };
 
@@ -118,7 +107,6 @@ class CriticEnsemble final : public Surrogate {
  public:
   CriticEnsemble(std::size_t num_critics, std::size_t dim, std::size_t num_metrics,
                  const CriticConfig& config, Rng& rng);
-  CriticEnsemble(const CriticEnsemble& other) = default;
 
   /// Trains every member for one round. Each member draws from its own
   /// derive_seed-derived stream keyed off a single draw from `rng`. With one

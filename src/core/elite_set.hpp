@@ -52,7 +52,7 @@ class EliteSet {
   std::size_t capacity() const { return capacity_; }
 
  private:
-  mutable Mutex mutex_;  ///< leaf lock: shared across actor threads, nothing acquired under it
+  mutable Mutex mutex_;  ///< leaf lock: nothing is acquired under it
   std::vector<Entry> entries_ MAOPT_GUARDED_BY(mutex_);  ///< kept sorted by ascending fom
   std::size_t capacity_;
 };

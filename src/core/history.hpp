@@ -50,7 +50,10 @@ struct RunHistory {
 
   double wall_seconds = 0.0;   ///< total optimization wall clock (excl. initial sampling)
   double sim_seconds = 0.0;    ///< time inside SizingProblem::evaluate
-  double train_seconds = 0.0;  ///< critic + actor training time
+  /// Critic + actor training time, wall clock: for MA-Opt, each critic
+  /// round plus each lockstep actor round (its candidate picks included)
+  /// that proposed a simulated design.
+  double train_seconds = 0.0;
   double ns_seconds = 0.0;     ///< near-sampling scan time
 
   bool aborted = false;      ///< circuit breaker tripped; the history is partial

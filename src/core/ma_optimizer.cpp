@@ -9,6 +9,7 @@
 #include "common/check.hpp"
 #include "common/log.hpp"
 #include "common/thread_pool.hpp"
+#include "core/elite_set.hpp"
 
 namespace maopt::core {
 
@@ -117,6 +118,8 @@ RunHistory MaOptimizer::run_impl(const SizingProblem& problem, std::vector<SimRe
     Rng actor_rng(derive_seed(seed, 0xA0 + i));
     actors.emplace_back(d, config_.actor, actor_rng);
   }
+  ActorRound actor_round(d, n_act, config_.actor);
+  std::vector<ActorTask> tasks(n_act);
 
   // Elite sets: one shared, or one per actor (Fig. 2a vs 2b). Only clean
   // simulations may enter: a failed record's penalty FoM would anchor the
@@ -163,8 +166,8 @@ RunHistory MaOptimizer::run_impl(const SizingProblem& problem, std::vector<SimRe
   bool replay_diverged = false;
   const bool checkpointing = config_.checkpoint_every > 0 && !config_.checkpoint_path.empty();
 
-  // Telemetry plumbing: spans collected per iteration (actor workers report
-  // into their own lanes); each record's provenance fields say how its
+  // Telemetry plumbing: spans collected per iteration (actor i reports into
+  // lane i); each record's provenance fields say how its
   // simulation was produced. With no observer every emit below is a single
   // branch on null.
   obs::SpanCollector spans(telemetry.enabled());
@@ -274,7 +277,7 @@ RunHistory MaOptimizer::run_impl(const SizingProblem& problem, std::vector<SimRe
       append_record(std::move(rec), /*actor_set=*/-1, /*lane=*/-1);
       ++telemetry.counters().ns_iterations;
     } else {
-      // --- Algorithm 1: critic training, then parallel actor rounds ---
+      // --- Algorithm 1: critic training, then the lockstep actor round ---
       Stopwatch train_clock;
       const std::vector<SimRecord>& training_set =
           ok_records.empty() ? history.records : ok_records;
@@ -287,39 +290,47 @@ RunHistory MaOptimizer::run_impl(const SizingProblem& problem, std::vector<SimRe
       critic_trained = true;
       if (!replaying) history.train_seconds += train_clock.elapsed_seconds();
 
-      // The actors only propose; the proposals are simulated below as one
-      // batch.
+      // The actors only propose, in one lockstep round against the frozen
+      // critic; the proposals are simulated below as one batch.
       const std::size_t workers = std::min(n_act, simulation_budget - sims);
-      std::vector<Vec> proposals(workers);
-      std::vector<double> worker_train_s(workers, 0.0);
-      pool.parallel_for(workers, [&](std::size_t i) {
-        Rng rng(derive_seed(seed, 0x1000 + static_cast<std::uint64_t>(t) * 64 + i));
-        EliteSet& elite = config_.shared_elite_set ? elites[0] : elites[i];
-
-        ThreadCpuTimer tclock;
-        obs::ScopedSpan train_span(spans, obs::Phase::ActorTrain, static_cast<int>(i));
-        CriticEnsemble local_critic(critic);  // private forward/backward workspace
+      Stopwatch round_clock;
+      for (std::size_t i = 0; i < workers; ++i) {
+        ActorTask& task = tasks[i];
+        task.rng = Rng(derive_seed(seed, 0x1000 + static_cast<std::uint64_t>(t) * 64 + i));
+        const EliteSet& elite = config_.shared_elite_set ? elites[0] : elites[i];
         Vec lb_raw, ub_raw;
         elite.bounds(lb_raw, ub_raw);
         // Map the elite box to unit space (degenerate boxes stay degenerate:
         // the violation term then pins proposals to the elite's column values).
-        const Vec lb_unit = scaler.to_unit(lb_raw);
-        const Vec ub_unit = scaler.to_unit(ub_raw);
-        actors[i].train_round(local_critic, fom, batcher.unit_designs(), lb_unit, ub_unit, rng);
-        const Vec proposal_unit =
-            actors[i].select_candidate_unit(local_critic, fom, elite.snapshot(), scaler);
-        worker_train_s[i] = tclock.elapsed_seconds();
-        train_span.stop();
-
+        task.lb_unit = scaler.to_unit(lb_raw);
+        task.ub_unit = scaler.to_unit(ub_raw);
+        const std::vector<EliteSet::Entry> entries = elite.snapshot();
+        task.elites_unit.ensure_shape(entries.size(), d);
+        for (std::size_t k = 0; k < entries.size(); ++k) {
+          const Vec u = scaler.to_unit(entries[k].x);
+          std::copy(u.begin(), u.end(), task.elites_unit.row(k).begin());
+        }
+      }
+      actor_round.run(std::span<Actor>(actors).first(workers),
+                      std::span<ActorTask>(tasks).first(workers), critic, fom,
+                      batcher.unit_designs(), &pool);
+      // Every actor's span carries the round's wall time: the actors train
+      // together, so the round is each one's critical path.
+      const double round_s = round_clock.elapsed_seconds();
+      std::vector<Vec> proposals(workers);
+      for (std::size_t i = 0; i < workers; ++i) {
+        spans.add(obs::Phase::ActorTrain, static_cast<int>(i), round_s);  // maopt-lint: allow(observer-bracketing)
+        const std::span<const double> proposal_unit = actor_round.proposal(i);
         Vec candidate(d);
         for (std::size_t c = 0; c < d; ++c) candidate[c] = std::clamp(proposal_unit[c], -1.0, 1.0);
         proposals[i] = problem.clip(scaler.from_unit(candidate));
-      });
+      }
 
       // A resume replays the checkpointed simulations of the first
       // `replayed` proposals; the rest are one evaluate_batch over the pool
       // (an EvalService uses its own pool and coalesces duplicates).
       const std::size_t replayed = std::min(workers, replay_count - replay_pos);
+      if (replayed < workers) history.train_seconds += round_s;
       std::vector<ckt::EvalResult> evals = problem.evaluate_batch(
           std::span<const Vec>(proposals).subspan(replayed), &pool);
       for (std::size_t i = 0; i < workers; ++i) {
@@ -329,7 +340,6 @@ RunHistory MaOptimizer::run_impl(const SizingProblem& problem, std::vector<SimRe
           replay_diverged = replay_diverged || rec.x != proposals[i];
         } else {
           rec = to_record(std::move(proposals[i]), std::move(evals[i - replayed]));
-          history.train_seconds += worker_train_s[i];
           history.sim_seconds += rec.seconds;
           // Not a ScopedSpan: the simulation may have run on another pool.
           spans.add(obs::Phase::Simulate, static_cast<int>(i), rec.seconds);  // maopt-lint: allow(observer-bracketing)

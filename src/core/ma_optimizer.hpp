@@ -6,9 +6,9 @@
 //   * MA-Opt       : N_act actors, shared elite set,      near-sampling
 //
 // Per iteration (Algorithm 1): the critic is trained on pseudo-samples of
-// the total design set, then each actor — concurrently on its own thread,
-// with a private critic copy — trains against the critic (Eq. 5) and picks
-// the elite state whose proposed move has the lowest predicted FoM; the N_act
+// the total design set, then the actors train against the frozen critic
+// (Eq. 5) in one lockstep round spread over the pool, and each picks the
+// elite state whose proposed move has the lowest predicted FoM; the N_act
 // proposals are then simulated together through one
 // SizingProblem::evaluate_batch. Once specs are met, every T_NS-th iteration runs
 // the near-sampling method instead (Algorithm 3), costing one simulation
@@ -35,7 +35,10 @@ struct MaOptConfig {
   NearSamplingConfig near_sampling{};  ///< N_samples = 2000 (paper)
   CriticConfig critic{};
   ActorConfig actor{};
-  std::size_t num_threads = 0;  ///< 0 -> num_actors
+  /// Optimizer pool workers (0 -> num_actors). The critic and actor rounds
+  /// run on them plus the calling thread; the proposal batch simulates on
+  /// them.
+  std::size_t num_threads = 0;
 
   // Fault tolerance / checkpointing (see README "Fault tolerance"). Failed
   // simulations always count against the budget (the paper budgets runs in

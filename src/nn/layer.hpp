@@ -72,8 +72,8 @@ class Layer {
   /// layers. Overridden together with the mutable overload.
   virtual std::vector<ConstParamRef> params() const { return {}; }
 
-  /// Deep copy (weights copied, gradients and caches reset) — used to hand
-  /// each worker thread a private critic during parallel actor training.
+  /// Deep copy (weights copied, gradients and caches reset); backs Mlp's
+  /// copy constructor.
   virtual std::unique_ptr<Layer> clone() const = 0;
 
   virtual std::size_t input_size() const = 0;

@@ -1,7 +1,7 @@
 // Typed run-telemetry events (PR 4). Every optimizer run driven through
 // core::Optimizer::run emits these through a RunObserver: one RunStarted,
-// per-iteration IterationCompleted (with per-phase wall-clock spans, actor
-// threads reporting into per-actor lanes), one SimulationCompleted per
+// per-iteration IterationCompleted (with per-phase wall-clock spans, each
+// actor reporting into its own lane), one SimulationCompleted per
 // budgeted simulation, CheckpointWritten when a snapshot lands on disk, and
 // one RunFinished carrying the monotonic counters. The payloads are plain
 // data on purpose: observers (JSONL writer, RunReport, user sinks) need no

@@ -1,14 +1,14 @@
 // RunObserver — the sink interface of the run-telemetry layer — plus the
 // pieces optimizers use to feed it: RunTelemetry (a null-safe emitting
 // facade holding the run's counters), SpanCollector (thread-safe per-phase
-// span accumulation, actor threads reporting into per-actor lanes) and
+// span accumulation, each actor reporting into its own lane) and
 // ScopedSpan (RAII wall-clock timer over a phase).
 //
 // Threading contract: observer callbacks are invoked only on the run's
 // driving thread, in event order, so observer implementations need no
-// locking of their own. Actor worker threads never call an observer; they
-// report spans into the SpanCollector, which the driving thread drains into
-// the iteration event.
+// locking of their own. Pool threads never call an observer; spans go into
+// the SpanCollector, which the driving thread drains into the iteration
+// event.
 #pragma once
 
 #include <vector>

@@ -27,8 +27,9 @@ class RunReport final : public RunObserver {
     bool aborted = false;
     double wall_seconds = 0.0;
     /// Wall-clock seconds per Phase, indexed by static_cast<size_t>(Phase),
-    /// summed over lanes (so parallel actor lanes add up; on one core this
-    /// equals elapsed time, on N cores it is the aggregate lane time).
+    /// summed over lanes. MA-Opt's actors train in one lockstep round and
+    /// each actor's span carries that round's wall time, so actor-train
+    /// reads N_act times the rounds' wall time.
     std::array<double, kNumPhases> phase_seconds{};
     RunCounters counters;
     /// Sweep tallies (corner / Monte Carlo brackets observed on this row);

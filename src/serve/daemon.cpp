@@ -1,9 +1,13 @@
 #include "serve/daemon.hpp"
 
 #include <algorithm>
+#include <cstdlib>
 #include <filesystem>
 #include <stdexcept>
 #include <utility>
+#if defined(__GLIBC__)
+#include <malloc.h>
+#endif
 
 #include "common/rng.hpp"
 #include "common/thread_pool.hpp"
@@ -503,6 +507,12 @@ void OptDaemon::run_segment(Job& job, bool resuming) {
     history = optimizer.resume(*service, checkpoint, fom, options);
   }
 
+#if defined(__GLIBC__)
+  // Hand the finished segment's freed memory back to the OS. Each job runs
+  // on a thread of its own, and glibc keeps what a thread freed resident in
+  // that thread's arena; across many jobs those arenas add up.
+  malloc_trim(0);
+#endif
   const MutexLock lock(mutex_);
   if (job.control.current() == core::RunControl::Signal::Kill ||
       (history.aborted && history.abort_reason == "killed")) {

@@ -65,28 +65,5 @@ TEST(Stopwatch, ResetRestarts) {
   EXPECT_LT(sw.elapsed_seconds(), 0.010);
 }
 
-TEST(ThreadCpuTimer, CountsOwnWorkNotSleep) {
-  ThreadCpuTimer timer;
-  std::this_thread::sleep_for(std::chrono::milliseconds(30));
-  const double slept = timer.elapsed_seconds();
-  EXPECT_LT(slept, 0.02);  // sleeping burns (almost) no CPU
-
-  timer.reset();
-  volatile double sink = 0.0;
-  for (int i = 0; i < 20000000; ++i) sink = sink + i * 1e-9;
-  EXPECT_GT(timer.elapsed_seconds(), 0.001);
-}
-
-TEST(ThreadCpuTimer, IsPerThread) {
-  ThreadCpuTimer main_timer;
-  std::thread worker([] {
-    volatile double sink = 0.0;
-    for (int i = 0; i < 20000000; ++i) sink = sink + i * 1e-9;
-  });
-  worker.join();
-  // The worker's CPU time must not appear on this thread's clock.
-  EXPECT_LT(main_timer.elapsed_seconds(), 0.05);
-}
-
 }  // namespace
 }  // namespace maopt

@@ -89,6 +89,24 @@ struct HotPathFixture : ::testing::Test {
     actor_config.steps_per_round = 5;
   }
 
+  /// `n` actors' tasks: their own streams and boxes, and elite sets of
+  /// 20, 7 and 13 of the records.
+  std::vector<ActorTask> actor_tasks(std::size_t n) const {
+    std::vector<ActorTask> tasks(n);
+    const std::size_t sizes[] = {20, 7, 13};
+    for (std::size_t i = 0; i < n; ++i) {
+      tasks[i].rng = Rng(100 + i);
+      tasks[i].lb_unit.assign(4, -0.5);
+      tasks[i].ub_unit.assign(4, 0.5);
+      tasks[i].elites_unit.ensure_shape(sizes[i % 3], 4);
+      for (std::size_t k = 0; k < sizes[i % 3]; ++k) {
+        const linalg::Vec u = scaler.to_unit(records[k].x);
+        for (std::size_t c = 0; c < 4; ++c) tasks[i].elites_unit(k, c) = u[c];
+      }
+    }
+    return tasks;
+  }
+
   ckt::ConstrainedQuadratic problem;
   nn::RangeScaler scaler;
   std::vector<SimRecord> records;
@@ -118,23 +136,53 @@ TEST_F(HotPathFixture, LinearInputGradientIsAllocationFreeWhenWarm) {
 }
 
 TEST_F(HotPathFixture, ActorTrainRoundIsAllocationFreeWhenWarm) {
+  // The pool-less lockstep round of three actors, against one critic and
+  // against an ensemble.
   const ckt::FomEvaluator fom(problem, 1.0);
   const PseudoSampleBatcher batcher(records, scaler);
-  const linalg::Vec lb(4, -0.5), ub(4, 0.5);
   for (const std::size_t members : {std::size_t{1}, std::size_t{3}}) {
     Rng rng(3);
     CriticEnsemble critic(members, 4, problem.num_metrics(), critic_config, rng);
     critic.fit_normalizer(records);
     Rng train_rng(4);
     critic.train_round(batcher, train_rng);
-    Actor actor(4, actor_config, rng);
-    actor.train_round(critic, fom, batcher.unit_designs(), lb, ub, train_rng);  // warm
-    EXPECT_EQ(allocations_during([&] {
-                actor.train_round(critic, fom, batcher.unit_designs(), lb, ub, train_rng);
-              }),
+    std::vector<Actor> actors;
+    for (int i = 0; i < 3; ++i) actors.emplace_back(4, actor_config, rng);
+    std::vector<ActorTask> tasks = actor_tasks(3);
+    ActorRound round(4, 3, actor_config);
+    round.run(actors, tasks, critic, fom, batcher.unit_designs());  // warm
+    EXPECT_EQ(allocations_during(
+                  [&] { round.run(actors, tasks, critic, fom, batcher.unit_designs()); }),
               0)
         << members << " critic member(s)";
   }
+}
+
+TEST_F(HotPathFixture, PooledActorRoundAllocatesPerRoundNotPerStep) {
+  // Like the pooled critic round: a pooled lockstep round allocates only to
+  // dispatch its helpers, so 10 and 50 steps allocate the same amount.
+  const ckt::FomEvaluator fom(problem, 1.0);
+  const PseudoSampleBatcher batcher(records, scaler);
+  std::vector<long> counts;
+  for (const int steps : {10, 50}) {
+    ThreadPool pool(3);  // fresh, so the task queue's own growth is identical
+    ActorConfig config = actor_config;
+    config.steps_per_round = steps;
+    Rng rng(9);
+    CriticEnsemble critic(1, 4, problem.num_metrics(), critic_config, rng);
+    critic.fit_normalizer(records);
+    Rng train_rng(10);
+    critic.train_round(batcher, train_rng);
+    std::vector<Actor> actors;
+    for (int i = 0; i < 3; ++i) actors.emplace_back(4, config, rng);
+    std::vector<ActorTask> tasks = actor_tasks(3);
+    ActorRound round(4, 3, config);
+    round.run(actors, tasks, critic, fom, batcher.unit_designs(), &pool);  // warm
+    counts.push_back(allocations_anywhere(
+        [&] { round.run(actors, tasks, critic, fom, batcher.unit_designs(), &pool); }));
+  }
+  EXPECT_GT(counts[0], 0) << "no helper was dispatched";
+  EXPECT_EQ(counts[0], counts[1]);
 }
 
 TEST_F(HotPathFixture, CriticTrainRoundIsAllocationFreeWhenWarm) {

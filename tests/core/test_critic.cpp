@@ -87,21 +87,6 @@ TEST_F(CriticFixture, LearnsToPredictMetrics) {
   EXPECT_LT(err, 0.25 * scale);  // mean abs error under 25% of mean magnitude
 }
 
-TEST_F(CriticFixture, CopyPredictsIdentically) {
-  Rng rng(7);
-  Critic critic(3, 3, config, rng);
-  critic.fit_normalizer(records);
-  PseudoSampleBatcher batcher(records, scaler);
-  Rng train_rng(8);
-  critic.train_round(batcher, train_rng);
-
-  Critic copy(critic);
-  const Vec x(3, 0.2), dx(3, 0.1);
-  const Vec a = predict_one(critic, x, dx);
-  const Vec b = predict_one(copy, x, dx);
-  for (std::size_t c = 0; c < 3; ++c) EXPECT_DOUBLE_EQ(a[c], b[c]);
-}
-
 TEST_F(CriticFixture, ActionGradientMatchesFiniteDifference) {
   Rng rng(9);
   Critic critic(3, 3, config, rng);

@@ -47,7 +47,6 @@ TEST_F(EnsembleFixture, PredictionIsMeanOfMembers) {
   Rng rng(4);
   CriticEnsemble ens(3, 3, 3, config, rng);
   ens.fit_normalizer(records);
-  // Clone into singles using the copy constructor, then compare.
   nn::Mat in(2, 6, 0.2);
   const nn::Mat avg = ens.predict(in);
   // Averaging property is hard to check without member access; instead use
