@@ -82,11 +82,11 @@ BENCHMARK(BM_ActorTrainRound);
 void BM_NearSamplingScan2000(benchmark::State& state) {
   Workbench w;
   Rng rng(7);
-  Critic critic(16, 3, w.critic_config, rng);
+  CriticEnsemble critic(1, 16, 3, w.critic_config, rng);
   critic.fit_normalizer(w.records);
   PseudoSampleBatcher batcher(w.records, w.scaler);
   Rng trng(8);
-  critic.train_round(batcher, trng);
+  critic.member(0).train_round(batcher, trng);
   NearSamplingConfig ns;  // paper: 2000 samples
   const linalg::Vec x_opt(16, 0.4);
   for (auto _ : state)

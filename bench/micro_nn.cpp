@@ -3,7 +3,6 @@
 // of cost that dominates MA-Opt's "runtime" rows.
 #include <benchmark/benchmark.h>
 
-#include "../tests/support/mlp_reference.hpp"
 #include "circuits/analytic_problems.hpp"
 #include "core/critic.hpp"
 #include "nn/adam.hpp"
@@ -14,54 +13,70 @@ namespace {
 using namespace maopt;
 using namespace maopt::nn;
 
+/// The paper's 2 x 100 net.
+Mlp paper_net(std::size_t in, std::size_t out, std::uint64_t seed, bool tanh_output) {
+  Rng rng(seed);
+  return Mlp(in, {100, 100}, out, rng, tanh_output);
+}
+
 void BM_PaperCriticForward(benchmark::State& state) {
-  Rng rng(1);
-  Mlp net = Mlp::make_paper_net(32, 9, rng, false);  // 2d = 32 (16-param circuit)
+  Mlp net = paper_net(32, 9, 1, false);  // 2d = 32 (16-param circuit)
   Mat x(static_cast<std::size_t>(state.range(0)), 32, 0.1);
-  for (auto _ : state) benchmark::DoNotOptimize(net.forward(x));
+  Mlp::Rows rows;
+  for (auto _ : state) benchmark::DoNotOptimize(net.forward(rows, x).data().data());
 }
 BENCHMARK(BM_PaperCriticForward)->Arg(1)->Arg(64)->Arg(2000);
 
+// One minibatch step of the critic round on one thread: forward, MSE
+// gradient, backward, then every parameter chunk's dW, db and Adam update.
 void BM_PaperCriticTrainStep(benchmark::State& state) {
-  Rng rng(2);
-  Mlp net = Mlp::make_paper_net(32, 9, rng, false);
+  Mlp net = paper_net(32, 9, 2, false);
   Adam opt(net.params(), {});
-  Mat x(64, 32, 0.1), y(64, 9, 0.2), grad;
+  Mat x(64, 32, 0.1), y(64, 9, 0.2);
+  Mlp::Rows rows;
+  net.set_rows(rows, 64);
+  net.pack();
   for (auto _ : state) {
-    const Mat pred = net.forward(x);
-    benchmark::DoNotOptimize(testing::mse_loss(pred, y, &grad));
-    net.backward_params(grad);
-    opt.step();
+    net.forward(rows, x.data().data(), 0, 64);
+    const auto& pred = rows.output().data();
+    auto& grad = rows.output_grad().data();
+    const double n = static_cast<double>(pred.size());
+    for (std::size_t i = 0; i < pred.size(); ++i) grad[i] = 2.0 * (pred[i] - y.data()[i]) / n;
+    net.backward(rows, 0, 64);
+    const AdamStep step = opt.begin_step();
+    for (std::size_t c = 0; c < net.num_param_chunks(); ++c)
+      net.params_chunk(c, rows, x.data().data(), opt, step);
+    benchmark::ClobberMemory();
   }
 }
 BENCHMARK(BM_PaperCriticTrainStep);
 
 void BM_PaperActorForward(benchmark::State& state) {
-  Rng rng(3);
-  Mlp net = Mlp::make_paper_net(16, 16, rng, true);
+  Mlp net = paper_net(16, 16, 3, true);
   Mat x(64, 16, 0.1);
-  for (auto _ : state) benchmark::DoNotOptimize(net.forward(x));
+  Mlp::Rows rows;
+  for (auto _ : state) benchmark::DoNotOptimize(net.forward(rows, x).data().data());
 }
 BENCHMARK(BM_PaperActorForward);
 
+// The critic's action gradient in the actors' round: backward from the
+// output, then the input gradient at the 16 action columns.
 void BM_InputGradient(benchmark::State& state) {
-  Rng rng(4);
-  Mlp net = Mlp::make_paper_net(32, 9, rng, false);
-  Mat x(64, 32, 0.1), dy(64, 9, 1.0);
-  net.forward(x);
-  for (auto _ : state) benchmark::DoNotOptimize(net.input_gradient(dy));
-}
-BENCHMARK(BM_InputGradient);
-
-void BM_MlpClone(benchmark::State& state) {
-  Rng rng(5);
-  Mlp net = Mlp::make_paper_net(32, 9, rng, false);
+  Mlp net = paper_net(32, 9, 4, false);
+  Mat x(64, 32, 0.1), dx(64, 16);
+  Mlp::Rows rows;
+  net.forward(rows, x);
+  net.pack();
+  net.pack_input_columns(16, 32);
   for (auto _ : state) {
-    Mlp copy = net;
-    benchmark::DoNotOptimize(copy.num_parameters());
+    rows.output_grad().fill(1.0);
+    net.backward(rows, 0, 64);
+    net.input_gradient(rows, 0, 64, dx.data().data());
+    benchmark::DoNotOptimize(dx.data().data());
+    benchmark::ClobberMemory();
   }
 }
-BENCHMARK(BM_MlpClone);
+BENCHMARK(BM_InputGradient);
 
 // Full critic training round at the paper configuration (2 x 100 hidden,
 // batch 32, 50 minibatch steps) on a 16-dim problem with 9 metrics — the

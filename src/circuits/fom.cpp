@@ -42,12 +42,6 @@ double FomEvaluator::operator()(std::span<const double> metrics) const {
   return g;
 }
 
-Vec FomEvaluator::gradient(std::span<const double> metrics) const {
-  Vec grad(metrics.size());
-  gradient_into(metrics, grad);
-  return grad;
-}
-
 void FomEvaluator::gradient_into(std::span<const double> metrics, std::span<double> grad) const {
   const auto& spec = problem_->spec();
   MAOPT_CHECK(metrics.size() == problem_->num_metrics(), "FomEvaluator: metric count mismatch");

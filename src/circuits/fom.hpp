@@ -45,10 +45,8 @@ class FomEvaluator {
 
   /// Gradient of g with respect to each metric (subgradient at clamp
   /// boundaries); used to backpropagate through the critic during actor
-  /// training.
-  Vec gradient(std::span<const double> metrics) const;
-  /// Allocation-free gradient(): writes every entry of `grad`, which must
-  /// have one entry per metric.
+  /// training. Writes every entry of `grad`, which must have one entry per
+  /// metric.
   void gradient_into(std::span<const double> metrics, std::span<double> grad) const;
 
   double f0_reference() const { return f0_ref_; }

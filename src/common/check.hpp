@@ -11,8 +11,8 @@
 //   MAOPT_DCHECK(cond, msg)  Compiled in Debug builds and whenever
 //                            MAOPT_CHECKED is defined (cmake
 //                            -DMAOPT_CHECKED=ON). For hot-loop invariants
-//                            (per-element bounds, borrowed-buffer
-//                            generations) where an always-on branch would
+//                            (per-element bounds, GEMM operands, Adam
+//                            update ranges) where an always-on branch would
 //                            cost real throughput: prints the failed
 //                            condition and aborts, so it is usable from
 //                            noexcept contexts and shows up in gtest death

@@ -74,22 +74,4 @@ double Rng::normal() {
 
 double Rng::normal(double mean, double stddev) { return mean + stddev * normal(); }
 
-std::vector<std::size_t> Rng::sample_without_replacement(std::size_t n, std::size_t k) {
-  // Floyd's algorithm: O(k) expected work, no O(n) scratch.
-  std::vector<std::size_t> picked;
-  picked.reserve(k);
-  for (std::size_t j = n - k; j < n; ++j) {
-    const auto t = static_cast<std::size_t>(uniform_int(0, static_cast<std::int64_t>(j)));
-    bool seen = false;
-    for (const auto p : picked) {
-      if (p == t) {
-        seen = true;
-        break;
-      }
-    }
-    picked.push_back(seen ? j : t);
-  }
-  return picked;
-}
-
 }  // namespace maopt

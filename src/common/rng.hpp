@@ -9,7 +9,6 @@
 #pragma once
 
 #include <cstdint>
-#include <vector>
 
 namespace maopt {
 
@@ -40,19 +39,6 @@ class Rng {
   double normal();
   /// Normal with given mean / stddev.
   double normal(double mean, double stddev);
-
-  /// k distinct indices drawn uniformly from [0, n) (k <= n).
-  std::vector<std::size_t> sample_without_replacement(std::size_t n, std::size_t k);
-
-  /// Fisher-Yates shuffle.
-  template <typename T>
-  void shuffle(std::vector<T>& v) {
-    for (std::size_t i = v.size(); i > 1; --i) {
-      const auto j = static_cast<std::size_t>(uniform_int(0, static_cast<std::int64_t>(i) - 1));
-      using std::swap;
-      swap(v[i - 1], v[j]);
-    }
-  }
 
  private:
   std::uint64_t state_[4];

@@ -13,16 +13,6 @@ double mean(std::span<const double> xs) {
   return s / static_cast<double>(xs.size());
 }
 
-double variance(std::span<const double> xs) {
-  if (xs.size() < 2) return 0.0;
-  const double m = mean(xs);
-  double s = 0.0;
-  for (const double x : xs) s += (x - m) * (x - m);
-  return s / static_cast<double>(xs.size() - 1);
-}
-
-double stddev(std::span<const double> xs) { return std::sqrt(variance(xs)); }
-
 double percentile(std::span<const double> xs, double p) {
   if (xs.empty()) throw std::invalid_argument("percentile: empty input");
   std::vector<double> sorted(xs.begin(), xs.end());
@@ -35,16 +25,6 @@ double percentile(std::span<const double> xs, double p) {
 }
 
 double median(std::span<const double> xs) { return percentile(xs, 50.0); }
-
-double min_of(std::span<const double> xs) {
-  if (xs.empty()) throw std::invalid_argument("min_of: empty input");
-  return *std::min_element(xs.begin(), xs.end());
-}
-
-double max_of(std::span<const double> xs) {
-  if (xs.empty()) throw std::invalid_argument("max_of: empty input");
-  return *std::max_element(xs.begin(), xs.end());
-}
 
 std::vector<double> rowwise_mean(const std::vector<std::vector<double>>& rows) {
   if (rows.empty()) return {};

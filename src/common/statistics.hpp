@@ -10,13 +10,9 @@
 namespace maopt {
 
 double mean(std::span<const double> xs);
-double variance(std::span<const double> xs);  ///< unbiased (n-1); 0 for n<2
-double stddev(std::span<const double> xs);
 double median(std::span<const double> xs);
 /// Linear-interpolated percentile, p in [0, 100].
 double percentile(std::span<const double> xs, double p);
-double min_of(std::span<const double> xs);
-double max_of(std::span<const double> xs);
 
 /// Element-wise mean over equal-length rows (used for averaged trajectories).
 std::vector<double> rowwise_mean(const std::vector<std::vector<double>>& rows);

@@ -12,7 +12,7 @@ namespace maopt::core {
 
 namespace {
 
-constexpr std::size_t kRows = nn::ChunkedNet::kRowsPerChunk;
+constexpr std::size_t kRows = nn::Mlp::kRowsPerChunk;
 
 std::size_t ceil_div(std::size_t a, std::size_t b) { return (a + b - 1) / b; }
 
@@ -35,9 +35,8 @@ double violation(double xn, double lb, double ub, double& sign) {
 
 Actor::Actor(std::size_t dim, const ActorConfig& config, Rng& rng)
     : dim_(dim),
-      mlp_(dim, config.hidden, dim, rng, nn::Activation::Relu, /*output_tanh=*/true),
-      adam_(mlp_.params(), {.lr = config.learning_rate}),
-      net_(mlp_, /*tanh_output=*/true) {}
+      net_(dim, config.hidden, dim, rng, /*tanh_output=*/true),
+      adam_(net_.params(), {.lr = config.learning_rate}) {}
 
 ActorRound::ActorRound(std::size_t dim, std::size_t max_actors, const ActorConfig& config)
     : dim_(dim),
@@ -88,8 +87,8 @@ MAOPT_HOT void ActorRound::run(std::span<Actor> actors, std::span<ActorTask> tas
     for (std::size_t k = 0; k < steps * nb; ++k)
       batch_rows_[i * steps * nb + k] = static_cast<std::size_t>(tasks[i].rng.uniform_int(0, last_row));
   for (std::size_t m = 0; m < critic.size(); ++m) {
-    critic.member(m).chunked().pack();
-    critic.member(m).chunked().pack_input_columns(d, 2 * d);
+    critic.member(m).network().pack();
+    critic.member(m).network().pack_input_columns(d, 2 * d);
   }
   elite_offset_[0] = 0;
   for (std::size_t i = 0; i < n; ++i)
@@ -112,7 +111,7 @@ MAOPT_HOT void ActorRound::run(std::span<Actor> actors, std::span<ActorTask> tas
     for (std::size_t i = 0; i < n; ++i) {
       actors[i].net_.set_rows(actors[i].rows_, actor_rows(i));
       for (std::size_t m = 0; m < critic.size(); ++m)
-        critic.member(m).chunked().set_rows(critic_rows_[m * max_actors_ + i], actor_rows(i));
+        critic.member(m).network().set_rows(critic_rows_[m * max_actors_ + i], actor_rows(i));
     }
     const std::size_t m1 = critic.num_metrics();
     states_.ensure_shape(rows, d);
@@ -181,8 +180,8 @@ MAOPT_HOT void ActorRound::predict(std::size_t i, std::size_t r0, std::size_t g0
   double* raw = raw_.data().data() + g0 * m1;
   for (std::size_t m = 0; m < critic_->size(); ++m) {
     Critic& member = critic_->member(m);
-    nn::ChunkedNet::Rows& rows = critic_rows_[m * max_actors_ + i];
-    member.chunked().forward(rows, critic_in_.data().data() + g0 * 2 * d, r0, nr);
+    nn::Mlp::Rows& rows = critic_rows_[m * max_actors_ + i];
+    member.network().forward(rows, critic_in_.data().data() + g0 * 2 * d, r0, nr);
     const double* z = rows.output().data().data() + r0 * m1;
     const Vec& mean = member.normalizer().mean();
     const Vec& std = member.normalizer().std();
@@ -237,8 +236,8 @@ MAOPT_HOT void ActorRound::train_chunk(std::size_t chunk) {
   double* d_action = actor.rows_.output_grad().data().data() + r0 * d;
   for (std::size_t m = 0; m < critic_->size(); ++m) {
     Critic& member = critic_->member(m);
-    const nn::ChunkedNet& net = member.chunked();
-    nn::ChunkedNet::Rows& rows = critic_rows_[m * max_actors_ + i];
+    const nn::Mlp& net = member.network();
+    nn::Mlp::Rows& rows = critic_rows_[m * max_actors_ + i];
     const Vec& std = member.normalizer().std();
     double* dz = rows.output_grad().data().data() + r0 * m1;
     const double* draw = d_raw_.data().data() + g0 * m1;

@@ -17,7 +17,7 @@
 #include "circuits/fom.hpp"
 #include "common/thread_pool.hpp"
 #include "core/critic.hpp"
-#include "nn/chunked_net.hpp"
+#include "nn/mlp.hpp"
 
 namespace maopt::core {
 
@@ -32,20 +32,19 @@ struct ActorConfig {
 class Actor {
  public:
   Actor(std::size_t dim, const ActorConfig& config, Rng& rng);
-  /// Move-only: the training views point into the network's layers.
+  /// Move-only: the optimizer's parameter views point into the network.
   Actor(Actor&&) = default;
 
   std::size_t dim() const { return dim_; }
-  nn::Mlp& network() { return mlp_; }
+  nn::Mlp& network() { return net_; }
 
  private:
   friend class ActorRound;
 
   std::size_t dim_;
-  nn::Mlp mlp_;
+  nn::Mlp net_;
   nn::Adam adam_;
-  nn::ChunkedNet net_;
-  nn::ChunkedNet::Rows rows_;
+  nn::Mlp::Rows rows_;
 };
 
 /// One actor's inputs to a lockstep round. The caller fills them before
@@ -95,7 +94,7 @@ class ActorRound {
   /// The frozen critic's per-row state for each (member m, actor i), at
   /// m * max_actors + i: each actor's rows in blocks of their own, as its
   /// own passes would size them.
-  std::vector<nn::ChunkedNet::Rows> critic_rows_;
+  std::vector<nn::Mlp::Rows> critic_rows_;
   // Stacked per-row state: actor i's training rows are [i N_b, (i+1) N_b);
   // its elite rows are [elite_offset_[i], elite_offset_[i + 1]).
   nn::Mat states_, critic_in_, raw_, d_raw_, member_raw_, member_grad_;

@@ -9,11 +9,6 @@
 namespace maopt::core {
 
 namespace {
-nn::Mlp make_net(std::size_t dim, std::size_t num_metrics, const CriticConfig& config, Rng& rng) {
-  return nn::Mlp(2 * dim, config.hidden, num_metrics, rng, nn::Activation::Relu,
-                 /*output_tanh=*/false);
-}
-
 std::size_t ceil_div(std::size_t a, std::size_t b) { return (a + b - 1) / b; }
 }  // namespace
 
@@ -21,9 +16,8 @@ Critic::Critic(std::size_t dim, std::size_t num_metrics, const CriticConfig& con
     : dim_(dim),
       num_metrics_(num_metrics),
       config_(config),
-      mlp_(make_net(dim, num_metrics, config, rng)),
-      adam_(mlp_.params(), {.lr = config.learning_rate}),
-      net_(mlp_, /*tanh_output=*/false) {}
+      net_(2 * dim, config.hidden, num_metrics, rng, /*tanh_output=*/false),
+      adam_(net_.params(), {.lr = config.learning_rate}) {}
 
 void Critic::fit_normalizer(const std::vector<SimRecord>& records) {
   MAOPT_CHECK(!records.empty(), "Critic::fit_normalizer: empty population");
@@ -47,7 +41,7 @@ MAOPT_HOT double Critic::train_round(const PseudoSampleBatcher& batcher, Rng& rn
   // later round.
   net_.set_rows(rows_, batch);
   net_.pack();
-  const std::size_t row_chunks = ceil_div(batch, nn::ChunkedNet::kRowsPerChunk);
+  const std::size_t row_chunks = ceil_div(batch, nn::Mlp::kRowsPerChunk);
   const std::size_t param_chunks = net_.num_param_chunks();
   const std::size_t useful_helpers = std::max(row_chunks, param_chunks) - 1;
   PhaseRunner runner(pool, pool == nullptr ? 0 : std::min(pool->size(), useful_helpers));
@@ -84,8 +78,8 @@ MAOPT_HOT void Critic::rows_chunk(std::size_t chunk) {
   // gradient, and the input-gradient chain down to the bottom layer's
   // output. All of it is row-local.
   const std::size_t batch = batch_x_.rows();
-  const std::size_t r0 = chunk * nn::ChunkedNet::kRowsPerChunk;
-  const std::size_t nr = std::min(batch, r0 + nn::ChunkedNet::kRowsPerChunk) - r0;
+  const std::size_t r0 = chunk * nn::Mlp::kRowsPerChunk;
+  const std::size_t nr = std::min(batch, r0 + nn::Mlp::kRowsPerChunk) - r0;
   net_.forward(rows_, batch_x_.data().data() + r0 * net_.input_size(), r0, nr);
   const double n = static_cast<double>(batch * num_metrics_);
   const double* pred = rows_.output().data().data();
@@ -101,22 +95,7 @@ MAOPT_HOT void Critic::rows_chunk(std::size_t chunk) {
 MAOPT_HOT void Critic::predict_into(const nn::Mat& x_dx, nn::Mat& raw) {
   MAOPT_CHECK(x_dx.cols() == 2 * dim_, "Critic::predict: input must be (batch x 2*dim)");
   MAOPT_CHECK(norm_.fitted(), "Critic::predict: fit_normalizer must run first");
-  norm_.inverse_into(mlp_.forward(x_dx), raw);
-}
-
-MAOPT_HOT void Critic::action_gradient_into(const nn::Mat& d_loss_d_raw_metrics,
-                                           nn::Mat& d_action) {
-  MAOPT_CHECK(d_loss_d_raw_metrics.cols() == num_metrics_,
-              "Critic::action_gradient: gradient width != num_metrics");
-  // Chain through the inverse z-score: raw = z * std + mean  =>  dz = draw * std.
-  const Vec& std = norm_.std();
-  dz_.ensure_shape(d_loss_d_raw_metrics.rows(), num_metrics_);
-  for (std::size_t r = 0; r < dz_.rows(); ++r)
-    for (std::size_t c = 0; c < num_metrics_; ++c) dz_(r, c) = d_loss_d_raw_metrics(r, c) * std[c];
-  const nn::Mat& dx_full = mlp_.input_gradient(dz_);
-  d_action.ensure_shape(dx_full.rows(), dim_);
-  for (std::size_t r = 0; r < dx_full.rows(); ++r)
-    for (std::size_t c = 0; c < dim_; ++c) d_action(r, c) = dx_full(r, dim_ + c);
+  norm_.inverse_into(net_.forward(rows_, x_dx), raw);
 }
 
 CriticEnsemble::CriticEnsemble(std::size_t num_critics, std::size_t dim,
@@ -169,21 +148,6 @@ MAOPT_HOT void CriticEnsemble::predict_into(const nn::Mat& x_dx, nn::Mat& raw) {
   }
   const double inv = 1.0 / static_cast<double>(members_.size());
   for (auto& v : raw.data()) v *= inv;
-}
-
-MAOPT_HOT void CriticEnsemble::action_gradient_into(const nn::Mat& d_loss_d_raw_metrics,
-                                                   nn::Mat& d_action) {
-  // d(mean of members)/d(dx) = mean of member gradients. Each member's
-  // forward cache is still valid from predict_into() because it ran every
-  // member's forward pass last.
-  members_.front().action_gradient_into(d_loss_d_raw_metrics, d_action);
-  for (std::size_t i = 1; i < members_.size(); ++i) {
-    members_[i].action_gradient_into(d_loss_d_raw_metrics, member_out_);
-    for (std::size_t k = 0; k < d_action.data().size(); ++k)
-      d_action.data()[k] += member_out_.data()[k];
-  }
-  const double inv = 1.0 / static_cast<double>(members_.size());
-  for (auto& v : d_action.data()) v *= inv;
 }
 
 std::size_t CriticEnsemble::num_parameters() const {

@@ -350,19 +350,8 @@ RunHistory MaOptimizer::run_impl(const SizingProblem& problem, std::vector<SimRe
       replay_pos += replayed;
     }
 
-    ++telemetry.counters().iterations;
-    if (telemetry.enabled()) {
-      obs::IterationCompleted event;
-      event.iteration = static_cast<std::uint64_t>(t);
-      event.simulations_done = sims;
-      event.best_fom = running_best;
-      event.feasible_found = specs_met;
-      event.near_sampling = ns_iteration;
-      event.wall_seconds = iter_clock.elapsed_seconds();
-      event.critic_loss = critic_loss;
-      event.spans = spans.take();
-      telemetry.emit(event);
-    }
+    emit_iteration(telemetry, static_cast<std::uint64_t>(t), sims, running_best, specs_met,
+                   iter_clock.elapsed_seconds(), spans.take(), ns_iteration, critic_loss);
 
     // Snapshot at iteration boundaries only (records are consistent there);
     // replayed iterations are skipped — the on-disk state already covers them.

@@ -7,8 +7,8 @@
 namespace maopt::core {
 
 Vec near_sampling_candidate(const ckt::SizingProblem& problem, const FomEvaluator& fom,
-                            Surrogate& critic, const nn::RangeScaler& scaler, const Vec& x_opt_raw,
-                            const NearSamplingConfig& config, Rng& rng) {
+                            CriticEnsemble& critic, const nn::RangeScaler& scaler,
+                            const Vec& x_opt_raw, const NearSamplingConfig& config, Rng& rng) {
   const std::size_t d = problem.dim();
   MAOPT_CHECK(x_opt_raw.size() == d, "near_sampling: x_opt dimension != problem dim");
   MAOPT_CHECK(critic.dim() == d, "near_sampling: critic dimension != problem dim");
@@ -19,7 +19,7 @@ Vec near_sampling_candidate(const ckt::SizingProblem& problem, const FomEvaluato
   const Vec x_opt_unit = scaler.to_unit(x_opt_raw);
 
   // Candidates are drawn and scored in blocks through one reused input and
-  // output pair, so the critic's workspaces stay at block size instead of
+  // output pair, so the critic's pass rows stay at block size instead of
   // growing to num_samples rows. Draw order, per-row predictions and the
   // strict-< first-minimum rule are those of one whole-matrix pass.
   constexpr std::size_t kBlockRows = 64;

@@ -18,7 +18,7 @@ struct NearSamplingConfig {
 /// Returns the critic-predicted best design (raw units, clipped to bounds)
 /// among `num_samples` draws in [x_opt - delta, x_opt + delta].
 Vec near_sampling_candidate(const ckt::SizingProblem& problem, const FomEvaluator& fom,
-                            Surrogate& critic, const nn::RangeScaler& scaler, const Vec& x_opt_raw,
-                            const NearSamplingConfig& config, Rng& rng);
+                            CriticEnsemble& critic, const nn::RangeScaler& scaler,
+                            const Vec& x_opt_raw, const NearSamplingConfig& config, Rng& rng);
 
 }  // namespace maopt::core

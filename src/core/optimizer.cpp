@@ -111,7 +111,8 @@ void Optimizer::emit_simulation(obs::RunTelemetry& telemetry, const SimRecord& r
 
 void Optimizer::emit_iteration(obs::RunTelemetry& telemetry, std::uint64_t iteration,
                                std::size_t simulations_done, double best_fom, bool feasible_found,
-                               double wall_seconds, std::vector<obs::PhaseSpan> spans) {
+                               double wall_seconds, std::vector<obs::PhaseSpan> spans,
+                               bool near_sampling, double critic_loss) {
   ++telemetry.counters().iterations;
   if (!telemetry.enabled()) return;
   obs::IterationCompleted event;
@@ -119,7 +120,9 @@ void Optimizer::emit_iteration(obs::RunTelemetry& telemetry, std::uint64_t itera
   event.simulations_done = simulations_done;
   event.best_fom = best_fom;
   event.feasible_found = feasible_found;
+  event.near_sampling = near_sampling;
   event.wall_seconds = wall_seconds;
+  event.critic_loss = critic_loss;
   event.spans = std::move(spans);
   telemetry.emit(event);
 }

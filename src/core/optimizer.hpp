@@ -8,6 +8,8 @@
 // attached the instrumentation reduces to a branch on a null pointer.
 #pragma once
 
+#include <limits>
+
 #include "core/history.hpp"
 #include "obs/observer.hpp"
 
@@ -102,10 +104,13 @@ class Optimizer {
                               std::uint64_t index, std::uint64_t iteration, int lane);
 
   /// Bumps the iteration counter and emits IterationCompleted; `spans` is
-  /// consumed. The event itself is skipped without an observer.
+  /// consumed. The event itself is skipped without an observer. Only
+  /// MA-Opt runs near-sampling iterations or trains a critic.
   static void emit_iteration(obs::RunTelemetry& telemetry, std::uint64_t iteration,
                              std::size_t simulations_done, double best_fom, bool feasible_found,
-                             double wall_seconds, std::vector<obs::PhaseSpan> spans);
+                             double wall_seconds, std::vector<obs::PhaseSpan> spans,
+                             bool near_sampling = false,
+                             double critic_loss = std::numeric_limits<double>::quiet_NaN());
 };
 
 /// Warm start: the cached prior-run results of `service`, annotated against

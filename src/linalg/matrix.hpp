@@ -5,7 +5,6 @@
 
 #include <complex>
 #include <cstddef>
-#include <cstdint>
 #include <initializer_list>
 #include <span>
 #include <vector>
@@ -70,7 +69,6 @@ class Matrix {
     rows_ = rows;
     cols_ = cols;
     data_.assign(rows * cols, fill);
-    ++generation_;
   }
   /// Reshape without clearing retained elements; reuses capacity, so a
   /// buffer reshaped to the same (or smaller) size never reallocates.
@@ -79,16 +77,7 @@ class Matrix {
     rows_ = rows;
     cols_ = cols;
     data_.resize(rows * cols);
-    ++generation_;
   }
-
-  /// Buffer-reuse generation: bumped by every reshape (ensure_shape /
-  /// resize), i.e. whenever previously read contents become unspecified.
-  /// Consumers that borrow a matrix across calls (Linear's forward input)
-  /// snapshot this and verify it unchanged when they finally read — the
-  /// machine-checked form of the "keep the input alive until backward"
-  /// lifetime contract in nn/layer.hpp.
-  std::uint64_t generation() const { return generation_; }
 
   static Matrix identity(std::size_t n) {
     Matrix m(n, n);
@@ -107,7 +96,6 @@ class Matrix {
   std::size_t rows_ = 0;
   std::size_t cols_ = 0;
   std::vector<T> data_;
-  std::uint64_t generation_ = 0;
 };
 
 using Mat = Matrix<double>;
@@ -115,10 +103,6 @@ using CMat = Matrix<std::complex<double>>;
 
 // --- Vector helpers (double) ---
 double dot(std::span<const double> a, std::span<const double> b);
-double norm2(std::span<const double> a);
-double norm_inf(std::span<const double> a);
-/// a += s * b
-void axpy(double s, std::span<const double> b, std::span<double> a);
 
 extern template class Matrix<double>;
 extern template class Matrix<std::complex<double>>;

@@ -3,9 +3,19 @@
 
 #include <vector>
 
-#include "nn/layer.hpp"
+#include "linalg/matrix.hpp"
 
 namespace maopt::nn {
+
+using linalg::Mat;
+using linalg::Vec;
+
+/// A (value, gradient) pair owned by a network; optimizers mutate `value`
+/// and read/zero `grad`.
+struct ParamRef {
+  Vec* value;
+  Vec* grad;
+};
 
 struct AdamConfig {
   double lr = 1e-3;

@@ -2,8 +2,8 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <set>
+#include <vector>
 
 namespace maopt {
 namespace {
@@ -84,33 +84,6 @@ TEST(Rng, NormalScaledMoments) {
   double mean = 0.0;
   for (int i = 0; i < n; ++i) mean += rng.normal(3.0, 2.0);
   EXPECT_NEAR(mean / n, 3.0, 0.05);
-}
-
-TEST(Rng, SampleWithoutReplacementDistinct) {
-  Rng rng(9);
-  for (int trial = 0; trial < 50; ++trial) {
-    const auto picked = rng.sample_without_replacement(20, 7);
-    ASSERT_EQ(picked.size(), 7u);
-    std::set<std::size_t> s(picked.begin(), picked.end());
-    EXPECT_EQ(s.size(), 7u);
-    for (const auto p : picked) EXPECT_LT(p, 20u);
-  }
-}
-
-TEST(Rng, SampleWithoutReplacementFullSet) {
-  Rng rng(9);
-  const auto picked = rng.sample_without_replacement(5, 5);
-  std::set<std::size_t> s(picked.begin(), picked.end());
-  EXPECT_EQ(s.size(), 5u);
-}
-
-TEST(Rng, ShufflePreservesElements) {
-  Rng rng(13);
-  std::vector<int> v{1, 2, 3, 4, 5, 6, 7, 8};
-  auto sorted = v;
-  rng.shuffle(v);
-  std::sort(v.begin(), v.end());
-  EXPECT_EQ(v, sorted);
 }
 
 TEST(Rng, DeriveSeedIsStreamDependent) {

@@ -23,16 +23,6 @@ TEST(Statistics, MeanEmptyThrows) {
   EXPECT_THROW(mean(xs), std::invalid_argument);
 }
 
-TEST(Statistics, VarianceUnbiased) {
-  const std::vector<double> xs{2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0};
-  EXPECT_NEAR(variance(xs), 4.571428571, 1e-9);
-}
-
-TEST(Statistics, VarianceOfSingletonIsZero) {
-  const std::vector<double> xs{3.0};
-  EXPECT_DOUBLE_EQ(variance(xs), 0.0);
-}
-
 TEST(Statistics, MedianOddCount) {
   const std::vector<double> xs{9.0, 1.0, 5.0};
   EXPECT_DOUBLE_EQ(median(xs), 5.0);
@@ -52,12 +42,6 @@ TEST(Statistics, PercentileEndpoints) {
 TEST(Statistics, PercentileInterpolation) {
   const std::vector<double> xs{0.0, 10.0};
   EXPECT_DOUBLE_EQ(percentile(xs, 25.0), 2.5);
-}
-
-TEST(Statistics, MinMax) {
-  const std::vector<double> xs{3.0, -1.0, 7.0};
-  EXPECT_DOUBLE_EQ(min_of(xs), -1.0);
-  EXPECT_DOUBLE_EQ(max_of(xs), 7.0);
 }
 
 TEST(Statistics, RowwiseMean) {

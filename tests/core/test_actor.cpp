@@ -18,7 +18,8 @@ namespace {
 Vec propose(Actor& actor, const Vec& x_unit) {
   nn::Mat in(1, x_unit.size());
   for (std::size_t c = 0; c < x_unit.size(); ++c) in(0, c) = x_unit[c];
-  const nn::Mat& out = actor.network().forward(in);
+  nn::Mlp::Rows rows;
+  const nn::Mat& out = actor.network().forward(rows, in);
   return Vec(out.row(0).begin(), out.row(0).end());
 }
 

@@ -22,7 +22,7 @@
 #include "common/thread_pool.hpp"
 #include "core/actor.hpp"
 #include "core/critic.hpp"
-#include "nn/layer.hpp"
+#include "nn/mlp.hpp"
 
 namespace {
 
@@ -122,15 +122,19 @@ TEST_F(HotPathFixture, CountingAllocatorSeesAllocations) {
 }
 
 TEST_F(HotPathFixture, LinearInputGradientIsAllocationFreeWhenWarm) {
+  // One Linear layer: its forward, backward and input gradient over caller
+  // rows, with Wᵀ already packed.
   Rng rng(2);
-  nn::Linear layer(37, 29, rng);
-  nn::Mat x(16, 37, 0.25), dy(16, 29, 0.5);
-  layer.forward(x);
-  layer.input_gradient(dy);  // warm: sizes the output and W^T pack slots
+  nn::Mlp layer(37, {}, 29, rng, /*tanh_output=*/false);
+  nn::Mat x(16, 37, 0.25), dx(16, 37);
+  nn::Mlp::Rows rows;
+  layer.set_rows(rows, 16);
+  layer.pack_input_columns(0, 37);
   EXPECT_EQ(allocations_during([&] {
-              layer.forward(x);
-              layer.input_gradient(dy);
-              layer.backward(dy);
+              layer.forward(rows, x.data().data(), 0, 16);
+              rows.output_grad().fill(0.5);
+              layer.backward(rows, 0, 16);
+              layer.input_gradient(rows, 0, 16, dx.data().data());
             }),
             0);
 }

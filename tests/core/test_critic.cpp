@@ -21,8 +21,37 @@ Vec predict_one(Critic& critic, const Vec& x_unit, const Vec& dx_unit) {
     in(0, i) = x_unit[i];
     in(0, d + i) = dx_unit[i];
   }
-  const nn::Mat out = critic.predict(in);
+  nn::Mat out;
+  critic.predict_into(in, out);
   return Vec(out.row(0).begin(), out.row(0).end());
+}
+
+/// `critic`'s predicted raw metrics for the rows of `in`.
+nn::Mat predict(Critic& critic, const nn::Mat& in) {
+  nn::Mat raw;
+  critic.predict_into(in, raw);
+  return raw;
+}
+
+/// dL/d(dx) at the (x, dx) rows `in`, given dL/d(raw metrics) `dl`: the
+/// inverse z-score's dz = draw * std, then the net's own backward() and
+/// input_gradient() over the dx columns.
+nn::Mat action_gradient(Critic& critic, const nn::Mat& in, const nn::Mat& dl) {
+  const std::size_t d = critic.dim();
+  const std::size_t n = in.rows();
+  nn::Mlp& net = critic.network();
+  nn::Mlp::Rows rows;
+  net.forward(rows, in);
+  const Vec& std = critic.normalizer().std();
+  for (std::size_t r = 0; r < n; ++r)
+    for (std::size_t c = 0; c < critic.num_metrics(); ++c)
+      rows.output_grad()(r, c) = dl(r, c) * std[c];
+  net.pack();
+  net.pack_input_columns(d, 2 * d);
+  net.backward(rows, 0, n);
+  nn::Mat da(n, d);
+  net.input_gradient(rows, 0, n, da.data().data());
+  return da;
 }
 
 struct CriticFixture : ::testing::Test {
@@ -102,18 +131,17 @@ TEST_F(CriticFixture, ActionGradientMatchesFiniteDifference) {
     in(0, static_cast<std::size_t>(c)) = 0.1 * c;
     in(0, static_cast<std::size_t>(3 + c)) = 0.05 * (c + 1);
   }
-  critic.predict(in);
   nn::Mat dl(1, 3);
   for (std::size_t c = 0; c < 3; ++c) dl(0, c) = w[c];
-  const nn::Mat da = critic.action_gradient(dl);
+  const nn::Mat da = action_gradient(critic, in, dl);
 
   const double eps = 1e-6;
   for (std::size_t c = 0; c < 3; ++c) {
     nn::Mat inp = in, inm = in;
     inp(0, 3 + c) += eps;
     inm(0, 3 + c) -= eps;
-    const nn::Mat rp = critic.predict(inp);
-    const nn::Mat rm = critic.predict(inm);
+    const nn::Mat rp = predict(critic, inp);
+    const nn::Mat rm = predict(critic, inm);
     double lp = 0.0, lm = 0.0;
     for (std::size_t j = 0; j < 3; ++j) {
       lp += w[j] * rp(0, j);
@@ -138,7 +166,7 @@ TEST_F(CriticFixture, PredictOneMatchesBatchPredict) {
     batch_in(2, c) = x[c];
     batch_in(2, 3 + c) = dx[c];
   }
-  const nn::Mat batch = critic.predict(batch_in);
+  const nn::Mat batch = predict(critic, batch_in);
   for (std::size_t c = 0; c < 3; ++c) EXPECT_EQ(single[c], batch(2, c));
 }
 
@@ -169,7 +197,7 @@ std::vector<PartitionCase> partition_cases() {
 }
 
 TEST_F(CriticFixture, PoolLessRoundMatchesWholeBatchReference) {
-  // The partitioned round must reproduce the whole-batch Mlp forward /
+  // The partitioned round must reproduce the whole-batch forward /
   // backward_params / Adam::step loop it replaced, bit for bit — the
   // trajectories of earlier versions depend on it.
   const PseudoSampleBatcher batcher(records, scaler);
@@ -180,7 +208,8 @@ TEST_F(CriticFixture, PoolLessRoundMatchesWholeBatchReference) {
     cfg.steps_per_round = 7;
     Rng rng_a(8), rng_b(8);
     Critic critic(3, 3, cfg, rng_a);
-    nn::Mlp net(6, cfg.hidden, 3, rng_b, nn::Activation::Relu, false);
+    nn::Mlp net(6, cfg.hidden, 3, rng_b, /*tanh_output=*/false);
+    nn::testing::ReferenceNet pass(net, /*tanh_output=*/false);
     nn::Adam adam(net.params(), {.lr = cfg.learning_rate});
     critic.fit_normalizer(records);
     nn::ZScoreNormalizer norm;
@@ -197,8 +226,8 @@ TEST_F(CriticFixture, PoolLessRoundMatchesWholeBatchReference) {
       for (int s = 0; s < cfg.steps_per_round; ++s) {
         batcher.sample(cfg.batch_size, trng_b, x, y_raw);
         norm.transform_into(y_raw, y);
-        total += nn::testing::mse_loss(net.forward(x), y, &grad);
-        net.backward_params(grad);
+        total += nn::testing::mse_loss(pass.forward(x), y, &grad);
+        pass.backward_params(grad);
         adam.step();
       }
       const double ref_loss = total / cfg.steps_per_round;

@@ -28,18 +28,18 @@ struct NsFixture : ::testing::Test {
     cfg.hidden = {48, 48};
     cfg.steps_per_round = 40;
     Rng crng(2);
-    critic = std::make_unique<Critic>(4, 3, cfg, crng);
+    critic = std::make_unique<CriticEnsemble>(1, 4, 3, cfg, crng);
     critic->fit_normalizer(records);
     PseudoSampleBatcher batcher(records, scaler);
     Rng trng(3);
-    for (int i = 0; i < 25; ++i) critic->train_round(batcher, trng);
+    for (int i = 0; i < 25; ++i) critic->member(0).train_round(batcher, trng);
   }
 
   ckt::ConstrainedQuadratic problem;
   nn::RangeScaler scaler;
   ckt::FomEvaluator fom;
   std::vector<SimRecord> records;
-  std::unique_ptr<Critic> critic;
+  std::unique_ptr<CriticEnsemble> critic;
 };
 
 TEST_F(NsFixture, CandidateStaysInsideDeltaBox) {
@@ -108,10 +108,10 @@ TEST_F(NsFixture, IntegerParametersStayIntegral) {
   cfg.hidden = {24, 24};
   cfg.steps_per_round = 10;
   Rng crng(9);
-  Critic rcritic(3, 2, cfg, crng);
+  CriticEnsemble rcritic(1, 3, 2, cfg, crng);
   rcritic.fit_normalizer(recs);
   PseudoSampleBatcher batcher(recs, rscaler);
-  rcritic.train_round(batcher, crng);
+  rcritic.member(0).train_round(batcher, crng);
 
   NearSamplingConfig ns;
   ns.num_samples = 100;
@@ -124,7 +124,7 @@ TEST_F(NsFixture, IntegerParametersStayIntegral) {
 /// The whole-matrix scan: draw every sample, predict them in one call, take
 /// the first strict minimum.
 Vec whole_matrix_candidate(const ckt::SizingProblem& problem, const ckt::FomEvaluator& fom,
-                           Surrogate& critic, const nn::RangeScaler& scaler,
+                           CriticEnsemble& critic, const nn::RangeScaler& scaler,
                            const Vec& x_opt_raw, const NearSamplingConfig& config, Rng& rng) {
   const std::size_t d = problem.dim();
   const Vec& lo = problem.lower_bounds();
@@ -147,7 +147,8 @@ Vec whole_matrix_candidate(const ckt::SizingProblem& problem, const ckt::FomEval
     }
     raw_samples.push_back(std::move(s));
   }
-  const nn::Mat raw_metrics = critic.predict(critic_in);
+  nn::Mat raw_metrics;
+  critic.predict_into(critic_in, raw_metrics);
   std::size_t best = 0;
   double best_g = 1e300;
   for (std::size_t k = 0; k < n; ++k) {

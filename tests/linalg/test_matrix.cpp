@@ -37,19 +37,6 @@ TEST(Matrix, CheckedAtMatchesOperatorAndRejectsOutOfRange) {
   EXPECT_THROW(cm.at(2, 3), std::invalid_argument);
 }
 
-TEST(Matrix, GenerationBumpsOnReshapeNotOnReadOrWrite) {
-  Mat m(2, 2, 1.0);
-  const auto g0 = m.generation();
-  m(0, 0) = 5.0;          // element writes do not invalidate borrows
-  (void)m.row(1);
-  EXPECT_EQ(m.generation(), g0);
-  m.ensure_shape(2, 2);   // reshape (even same-shape) marks contents unspecified
-  EXPECT_GT(m.generation(), g0);
-  const auto g1 = m.generation();
-  m.resize(3, 3);
-  EXPECT_GT(m.generation(), g1);
-}
-
 TEST(Matrix, InitializerListSizeMismatchThrows) {
   EXPECT_THROW(Mat(2, 2, {1.0, 2.0, 3.0}), std::invalid_argument);
 }
@@ -127,22 +114,13 @@ TEST(VectorOps, DotAndNorms) {
   const std::vector<double> a{3.0, 4.0};
   const std::vector<double> b{1.0, 2.0};
   EXPECT_DOUBLE_EQ(dot(a, b), 11.0);
-  EXPECT_DOUBLE_EQ(norm2(a), 5.0);
-  EXPECT_DOUBLE_EQ(norm_inf(a), 4.0);
+  EXPECT_DOUBLE_EQ(dot(a, a), 25.0);  // the squared 2-norm
 }
 
 TEST(VectorOps, DotMismatchThrows) {
   const std::vector<double> a{1.0};
   const std::vector<double> b{1.0, 2.0};
   EXPECT_THROW(dot(a, b), std::invalid_argument);
-}
-
-TEST(VectorOps, Axpy) {
-  std::vector<double> a{1.0, 1.0};
-  const std::vector<double> b{2.0, 3.0};
-  axpy(2.0, b, a);
-  EXPECT_DOUBLE_EQ(a[0], 5.0);
-  EXPECT_DOUBLE_EQ(a[1], 7.0);
 }
 
 TEST(Matrix, FillAndResize) {

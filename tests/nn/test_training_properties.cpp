@@ -39,7 +39,8 @@ class MlpWidthSweep : public ::testing::TestWithParam<WidthCase> {};
 TEST_P(MlpWidthSweep, FitsQuadraticMap) {
   const auto [width, target_loss] = GetParam();
   Rng rng(width);
-  Mlp net(2, {width, width}, 1, rng, Activation::Relu, false);
+  Mlp net(2, {width, width}, 1, rng, /*tanh_output=*/false);
+  testing::ReferenceNet pass(net, /*tanh_output=*/false);
   Adam opt(net.params(), {.lr = 3e-3});
   Rng data(7);
   Mat x(48, 2), y(48, 1), grad;
@@ -50,9 +51,8 @@ TEST_P(MlpWidthSweep, FitsQuadraticMap) {
       x(i, 1) = data.uniform(-1, 1);
       y(i, 0) = x(i, 0) * x(i, 0) + 0.5 * x(i, 1);
     }
-    const Mat pred = net.forward(x);
-    loss = mse_loss(pred, y, &grad);
-    net.backward_params(grad);
+    loss = mse_loss(pass.forward(x), y, &grad);
+    pass.backward_params(grad);
     opt.step();
   }
   EXPECT_LT(loss, target_loss) << "width=" << width;
@@ -63,16 +63,17 @@ INSTANTIATE_TEST_SUITE_P(Widths, MlpWidthSweep,
                                            WidthCase{64, 5e-3}, WidthCase{100, 5e-3}));
 
 TEST(TrainingProperties, DeeperTanhNetStillHasHealthyGradients) {
-  // 4 hidden layers of tanh: gradient magnitudes at the input layer must be
-  // nonzero after a forward/backward pass (no catastrophic vanishing for
-  // the depths used here).
+  // 4 hidden ReLU layers under a tanh output: gradient magnitudes at the
+  // input layer must be nonzero after a forward/backward pass (no
+  // catastrophic vanishing for the depths used here).
   Rng rng(1);
-  Mlp net(4, {32, 32, 32, 32}, 1, rng, Activation::Tanh, false);
+  Mlp net(4, {32, 32, 32, 32}, 1, rng, /*tanh_output=*/true);
+  testing::ReferenceNet pass(net, /*tanh_output=*/true);
   Mat x(16, 4, 0.25);
   Mat dy(16, 1, 1.0);
-  net.forward(x);
+  pass.forward(x);
   testing::zero_grad(net);
-  net.backward_params(dy);
+  pass.backward_params(dy);
   double grad_norm = 0.0;
   const auto params = net.params();
   for (const double g : *params[0].grad) grad_norm += g * g;

@@ -1,6 +1,7 @@
 // One actor trained alone, a whole minibatch at a time, through the
-// Surrogate interface: Eq. 5/6 and Algorithm 1 line 8 written plainly, the
-// oracle the lockstep tests hold ActorRound (core/actor) to, bit for bit.
+// whole-batch reference passes of mlp_reference.hpp: Eq. 5/6 and Algorithm
+// 1 line 8 written plainly, the oracle the lockstep tests hold ActorRound
+// (core/actor) to, bit for bit.
 #pragma once
 
 #include <algorithm>
@@ -10,6 +11,7 @@
 
 #include "core/actor.hpp"
 #include "core/elite_set.hpp"
+#include "mlp_reference.hpp"
 #include "nn/normalizer.hpp"
 
 namespace maopt::core::testing {
@@ -20,14 +22,16 @@ class ReferenceActor {
   ReferenceActor(std::size_t dim, const ActorConfig& config, Rng& rng)
       : dim_(dim),
         config_(config),
-        mlp_(dim, config.hidden, dim, rng, nn::Activation::Relu, /*output_tanh=*/true),
-        adam_(mlp_.params(), {.lr = config.learning_rate}),
+        net_(dim, config.hidden, dim, rng, /*tanh_output=*/true),
+        adam_(net_.params(), {.lr = config.learning_rate}),
+        pass_(net_, /*tanh_output=*/true),
         viol_(dim, 0.0),
         sign_(dim, 0.0) {}
 
   /// One training round against `critic`; returns the mean loss.
-  double train_round(Surrogate& critic, const FomEvaluator& fom, const nn::Mat& population_unit,
-                     const Vec& elite_lb_unit, const Vec& elite_ub_unit, Rng& rng) {
+  double train_round(CriticEnsemble& critic, const FomEvaluator& fom,
+                     const nn::Mat& population_unit, const Vec& elite_lb_unit,
+                     const Vec& elite_ub_unit, Rng& rng) {
     const std::size_t nb = config_.batch_size;
     const auto last_row = static_cast<std::int64_t>(population_unit.rows()) - 1;
     double total_loss = 0.0;
@@ -49,7 +53,7 @@ class ReferenceActor {
         fom.gradient_into(raw_.row(k), g);
         for (double& gc : g) gc = gc / static_cast<double>(nb);
       }
-      critic.action_gradient_into(d_raw_, d_action_);
+      ensemble_action_gradient(critic, critic_in_, d_raw_, d_action_);
 
       // Boundary violation against the elite bounding box (Eq. 6).
       for (std::size_t k = 0; k < nb; ++k) {
@@ -76,7 +80,7 @@ class ReferenceActor {
         }
       }
 
-      mlp_.backward_params(d_action_);
+      pass_.backward_params(d_action_);
       adam_.step();
       total_loss += batch_loss / static_cast<double>(nb);
     }
@@ -85,7 +89,7 @@ class ReferenceActor {
 
   /// Algorithm 1 line 8: the elite state whose proposed move has the lowest
   /// critic-predicted FoM; returns x* + mu(x*) in unit space, unclipped.
-  Vec select_candidate_unit(Surrogate& critic, const FomEvaluator& fom,
+  Vec select_candidate_unit(CriticEnsemble& critic, const FomEvaluator& fom,
                             const std::vector<EliteSet::Entry>& elites,
                             const nn::RangeScaler& scaler) {
     const std::size_t n = elites.size();
@@ -109,27 +113,28 @@ class ReferenceActor {
     return proposal;
   }
 
-  nn::Mlp& network() { return mlp_; }
+  nn::Mlp& network() { return net_; }
 
  private:
   /// Runs the actor on states_ and the critic on [states_, actions] into
   /// raw_; returns the actions.
-  const nn::Mat& act_and_predict(Surrogate& critic) {
-    const nn::Mat& actions = mlp_.forward(states_);
+  const nn::Mat& act_and_predict(CriticEnsemble& critic) {
+    const nn::Mat& actions = pass_.forward(states_);
     critic_in_.ensure_shape(states_.rows(), 2 * dim_);
     for (std::size_t k = 0; k < states_.rows(); ++k)
       for (std::size_t c = 0; c < dim_; ++c) {
         critic_in_(k, c) = states_(k, c);
         critic_in_(k, dim_ + c) = actions(k, c);
       }
-    critic.predict_into(critic_in_, raw_);
+    ensemble_predict(critic, critic_in_, raw_);
     return actions;
   }
 
   std::size_t dim_;
   ActorConfig config_;
-  nn::Mlp mlp_;
+  nn::Mlp net_;
   nn::Adam adam_;
+  nn::testing::ReferenceNet pass_;
   nn::Mat states_, critic_in_, raw_, d_raw_, d_action_;
   Vec viol_, sign_;
 };
